@@ -58,8 +58,9 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "no-raw-connect-in-router",
-        "TcpStream::connect/connect_timeout are banned in router.rs and supervisor.rs — the data \
-         plane dials backends only through the pool.rs connection pool",
+        "TcpStream::connect/connect_timeout are banned in crates/service/src except for one dial \
+         site in pool.rs — every outbound connection gets the same deadlines, nodelay and \
+         stale-resend rule",
     ),
 ];
 
@@ -545,23 +546,30 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Violation> {
         }
     }
 
-    if in_service_src(path) && matches!(file_name(&norm(path)), "router.rs" | "supervisor.rs") {
-        // `TcpStream::connect(` / `TcpStream::connect_timeout(`.
+    if in_service_src(path) {
+        // `TcpStream::connect(` / `TcpStream::connect_timeout(`. The
+        // first one in pool.rs is the crate's one dial site.
         const DIALS: &[&str] = &["connect", "connect_timeout"];
+        let mut dial_site_unused = file_name(&norm(path)) == "pool.rs";
         for seg in &segs {
             for w in seg.windows(5) {
                 if punct(&w[1], ':') && punct(&w[2], ':') && punct(&w[4], '(') {
                     if let (Some(_), Some(d)) =
                         (ident_in(&w[0], &["TcpStream"]), ident_in(&w[3], DIALS))
                     {
+                        if dial_site_unused {
+                            dial_site_unused = false;
+                            continue;
+                        }
                         out.push(Violation {
                             file: norm(path),
                             line: w[0].line,
                             rule: "no-raw-connect-in-router",
                             message: format!(
-                                "raw `TcpStream::{d}` in the router data plane — dial backends \
-                                 through `ConnectionPool` (pool.rs) so connections are reused, \
-                                 bounded, and flushed on backend death"
+                                "raw `TcpStream::{d}` in the service crate — connect through \
+                                 `pool.rs` (`ConnectionPool`, or `Conn::dial` for one-shot \
+                                 calls), the crate's one dial site, so every connection gets \
+                                 the same deadlines, nodelay and stale-resend rule"
                             ),
                         });
                     }

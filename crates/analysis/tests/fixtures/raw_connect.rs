@@ -1,5 +1,5 @@
-//! Fixture: one raw dial in the router data plane (one violation), plus
-//! a suppressed dial that must stay silent.
+//! Fixture: one raw dial in the service crate (one violation; none as
+//! pool.rs, whose first dial is the allowed site) plus a suppressed one.
 
 fn dial(addr: std::net::SocketAddr) -> std::io::Result<std::net::TcpStream> {
     std::net::TcpStream::connect(addr)

@@ -76,10 +76,30 @@ fn fixture_float_format_in_json() {
 
 #[test]
 fn fixture_raw_connect_in_router() {
+    for file in ["router.rs", "supervisor.rs", "client.rs", "http.rs"] {
+        assert_one_violation(
+            "raw_connect.rs",
+            &format!("crates/service/src/{file}"),
+            5,
+            "no-raw-connect-in-router",
+        );
+    }
+}
+
+#[test]
+fn fixture_raw_connect_pool_keeps_exactly_one_dial_site() {
+    let out = run_lint(&[
+        "--file",
+        fixture("raw_connect.rs").to_str().unwrap(),
+        "--as",
+        "crates/service/src/pool.rs",
+    ]);
+    assert!(out.status.success(), "pool.rs's first dial is the allowed dial site");
+    assert!(out.stdout.is_empty(), "no violations expected");
     assert_one_violation(
-        "raw_connect.rs",
-        "crates/service/src/router.rs",
-        5,
+        "raw_connect_pool.rs",
+        "crates/service/src/pool.rs",
+        9,
         "no-raw-connect-in-router",
     );
 }

@@ -124,7 +124,8 @@ pub struct HeuristicCtx<'a> {
     pub scratch: &'a mut PolicyScratch,
     /// Ablation flag: when true, the faulty task's candidate finish times
     /// omit downtime + recovery, as in the literal pseudocode of
-    /// Algorithms 4–5 (see DESIGN.md). Default false (follow §3.3.2 text).
+    /// Algorithms 4–5. Default false: the §3.3.2 text charges them, and
+    /// the text wins where the two disagree.
     pub pseudocode_fault_bias: bool,
     /// Counter of committed reallocations (one per task whose σ changed).
     pub redistributions: &'a mut u64,

@@ -12,8 +12,11 @@
 //!    checkpoint, pays downtime + recovery, and — if it became the longest
 //!    task — the fault policy may redistribute processors toward it.
 //!
-//! See DESIGN.md ("Event-loop semantics") for how the paper's pseudocode
-//! ambiguities are resolved; every resolution is flagged in the code below.
+//! Where the pseudocode is ambiguous, an end fires at the task's current
+//! expected finish time `t^U` and wins a tie with a fault; a fault on an
+//! idle processor or inside a downtime/recovery/redistribution window is
+//! discarded (§6.1); and tasks finishing inside the struck task's recovery
+//! window complete before the fault policy runs. Each is flagged below.
 
 use redistrib_model::{ExecutionMode, TaskId, TimeCalc};
 use redistrib_sim::dist::FaultLaw;

@@ -6,7 +6,8 @@
 //! post-redistribution checkpoint included — grant it two processors and
 //! reconsider; a task that cannot improve drops out of consideration. (The
 //! pseudocode's outer loop lacks an emptiness guard on the candidate list;
-//! we add it, see DESIGN.md.)
+//! we add one, so the loop stops once every candidate has dropped out even
+//! while processors remain free.)
 //!
 //! Two implementations share the semantics:
 //!

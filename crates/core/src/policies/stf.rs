@@ -7,10 +7,10 @@
 //! strictly below the faulty task's current finish time; stealing stops as
 //! soon as a donor would become the new longest task.
 //!
-//! Pseudocode deviations (see DESIGN.md): phase 1 needs a
-//! no-improvement break; phase 2 must run even when no processors are free
-//! (otherwise STF could never steal, which is its entire purpose); phase-1
-//! scans extend the faulty task's *current* planned allocation.
+//! Pseudocode deviations, each needed for the §3.3.2 behavior: phase 1
+//! needs a no-improvement break; phase 2 must run even when no processors
+//! are free (otherwise STF could never steal, which is its entire purpose);
+//! phase-1 scans extend the faulty task's *current* planned allocation.
 //!
 //! Two implementations share the semantics:
 //!

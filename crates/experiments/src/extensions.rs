@@ -1,5 +1,5 @@
-//! Extension experiments beyond the paper's figures (all flagged as such
-//! in DESIGN.md §6):
+//! Extension experiments beyond the paper's figures (each table's title
+//! starts with "Extension" so no output passes for a paper result):
 //!
 //! * [`validation_table`] — Monte-Carlo validation of the expected-time
 //!   formula (Eq. 4) against a physical single-task simulation;

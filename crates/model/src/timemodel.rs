@@ -32,7 +32,8 @@ pub enum ExecutionMode {
 }
 
 /// How the engine converts a task's remaining fraction into the time of its
-/// *end event* (see DESIGN.md: "Event-loop semantics").
+/// *end event*. Algorithm 2 leaves it open; the default reads it as the
+/// expected finish time, with expected fault delays already priced in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EndSemantics {
     /// End events fire at the current expected finish time

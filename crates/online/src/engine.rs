@@ -1,63 +1,18 @@
-//! Legacy one-shot entry point of the online engine.
-//!
-//! PR 4 redesigned the execution API around an explicit, stepped
-//! [`Session`](crate::Session) built by a [`Scheduler`];
-//! the monolithic [`run_online`] free function survives as a thin
-//! deprecated shim that builds a flat-FIFO session and drains it. The shim
-//! is *definitionally* byte-identical to the session path — it performs no
-//! work of its own — so the regression tests below (admission, queueing,
-//! fault handling, determinism) exercise the builder path directly; only
-//! `tests/session_equiv.rs` still calls the shim, on purpose, to pin the
-//! shim ≡ session equivalence itself.
+//! Regression tests of the flat-FIFO online engine — admission,
+//! queueing, fault handling, determinism — driven through the
+//! `Scheduler` builder and its stepped `Session`.
 
-use std::sync::Arc;
-
-use redistrib_core::ScheduleError;
-use redistrib_model::{JobSpec, Platform, SpeedupModel};
-
-use crate::builder::{OnlineConfig, OnlineStrategy, Scheduler};
-use crate::session::OnlineOutcome;
-
-/// Runs a stream of jobs to completion on a failure-prone platform.
-///
-/// Job `i` of `jobs` keeps the id `i` throughout (trace records, stats).
-/// Jobs are processed in release order (ties by submission index).
-///
-/// # Errors
-/// [`ScheduleError::InsufficientProcessors`] if the platform has fewer than
-/// two processors (the buddy-checkpointing minimum per job);
-/// [`ScheduleError::EventLimitExceeded`] if the safety cap is hit.
-///
-/// # Panics
-/// Panics if `jobs` is empty.
-#[deprecated(
-    since = "0.1.0",
-    note = "build a stepped session instead: `Scheduler::on(platform).speedup(..)\
-            .strategy(..).config(..).session(jobs)?.run_to_completion()`"
-)]
-pub fn run_online(
-    jobs: &[JobSpec],
-    speedup: Arc<dyn SpeedupModel>,
-    platform: Platform,
-    strategy: &OnlineStrategy,
-    cfg: &OnlineConfig,
-) -> Result<OnlineOutcome, ScheduleError> {
-    Scheduler::on(platform)
-        .speedup(speedup)
-        .strategy(*strategy)
-        .config(*cfg)
-        .session(jobs)?
-        .run_to_completion()
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::arrival::{generate_jobs, JobSizeModel, PoissonArrivals};
-    use redistrib_core::Heuristic;
-    use redistrib_model::PaperModel;
+    use std::sync::Arc;
+
+    use redistrib_core::{Heuristic, ScheduleError};
+    use redistrib_model::{JobSpec, PaperModel, Platform};
     use redistrib_sim::trace::TraceEvent;
     use redistrib_sim::units;
+
+    use crate::arrival::{generate_jobs, JobSizeModel, PoissonArrivals};
+    use crate::builder::{OnlineConfig, OnlineStrategy, Scheduler};
+    use crate::session::OnlineOutcome;
 
     fn jobs(n: usize, mean_gap: f64, seed: u64) -> Vec<JobSpec> {
         let mut arrivals = PoissonArrivals::new(seed, mean_gap);
@@ -68,8 +23,7 @@ mod tests {
         Arc::new(PaperModel::default())
     }
 
-    /// The builder path the deprecated shim forwards to — every behavior
-    /// test below runs through it directly.
+    /// Every behavior test below runs through the builder.
     fn run(
         jobs: &[JobSpec],
         platform: Platform,

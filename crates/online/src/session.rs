@@ -10,7 +10,7 @@
 //! The event-processing code is the PR 3 engine verbatim — arrival
 //! admission with fair-share grants, completion redistribution, fault
 //! rollback — so a flat-FIFO session replays the exact decision sequence of
-//! the legacy `run_online` entry point: same job stream, same fault seed,
+//! the PR 3 one-shot engine: same job stream, same fault seed,
 //! same strategy ⇒ byte-identical event logs. Multi-pack staging
 //! ([`PackStaging::Oversubscribed`](crate::PackStaging)) layers the
 //! `redistrib-packs` partitioning on top of the admission queue without
@@ -32,7 +32,7 @@ use crate::packset::{PackHandle, PackId, PackReport, PackSetState, StagedPack};
 use crate::snapshot::SessionSnapshot;
 
 /// Result of one online run (returned by [`Session::run_to_completion`] and
-/// the legacy [`run_online`](crate::run_online) shim).
+/// [`Scheduler::run`](crate::Scheduler::run)).
 #[derive(Debug, Clone)]
 pub struct OnlineOutcome {
     /// Completion time of the last job.

@@ -1,13 +1,14 @@
 //! Equivalence suite for the PR 4 Session API.
 //!
-//! * the stepped single-pack `Session` must replay the legacy `run_online`
-//!   decision sequence byte for byte (event logs, makespan bits) — the
-//!   detprobe grid relies on it;
+//! * a single-pack `Session` driven by hand for a few `step()`s and then
+//!   drained must replay the one-shot `Scheduler::run` decision sequence
+//!   byte for byte (event logs, makespan bits) — the detprobe grid relies
+//!   on it;
 //! * multi-pack staging must *conserve jobs*: every arrival completes
 //!   exactly once, packs never overlap, and drained-pack reports cover
 //!   exactly the staged jobs;
-//! * the offline `PackSession` must reproduce the legacy `run_partition`
-//!   outcomes pack for pack.
+//! * the offline `PackSession` stepped pack by pack must report exactly
+//!   what `run_to_completion()` returns, run after run.
 
 use std::sync::Arc;
 
@@ -31,12 +32,12 @@ fn job_stream(seed: u64, n: usize, mean_gap: f64) -> Vec<JobSpec> {
     generate_jobs(&mut arrivals, n, &JobSizeModel::paper_default(), seed)
 }
 
-/// The single-pack session replays the legacy entry point byte for byte,
-/// across the same strategy × seed grid detprobe pins — including when the
-/// caller interleaves manual `step()`s with `run_to_completion()`.
+/// A session stepped by hand for a few events and then drained replays
+/// the one-shot `Scheduler::run` byte for byte, across the same strategy ×
+/// seed grid detprobe pins — mixing the two driving styles must not
+/// change anything.
 #[test]
-#[allow(deprecated)]
-fn session_matches_legacy_run_online_byte_for_byte() {
+fn stepped_then_drained_session_matches_one_shot_run() {
     for seed in [1u64, 7, 42, 99] {
         for strategy in [
             OnlineStrategy::no_resize(),
@@ -46,15 +47,11 @@ fn session_matches_legacy_run_online_byte_for_byte() {
             let jobs = job_stream(seed, 12, 6_000.0);
             let platform = Platform::with_mtbf(24, units::years(5.0));
             let cfg = OnlineConfig::with_faults(seed ^ 0xBEEF, platform.proc_mtbf).recording();
-            let legacy =
-                redistrib_online::run_online(&jobs, speedup(), platform, &strategy, &cfg)
-                    .unwrap();
-
             let scheduler =
                 Scheduler::on(platform).speedup(speedup()).strategy(strategy).config(cfg);
+            let one_shot = scheduler.run(&jobs).unwrap();
+
             let mut session = scheduler.session(&jobs).unwrap();
-            // Step the first few events by hand before draining — mixing
-            // the two driving styles must not change anything.
             for _ in 0..5 {
                 if session.step().unwrap().is_none() {
                     break;
@@ -63,16 +60,16 @@ fn session_matches_legacy_run_online_byte_for_byte() {
             let stepped = session.run_to_completion().unwrap();
 
             assert_eq!(
-                legacy.trace.to_csv(),
+                one_shot.trace.to_csv(),
                 stepped.trace.to_csv(),
                 "event logs diverge (seed {seed}, {})",
                 strategy.name()
             );
-            assert_eq!(legacy.makespan.to_bits(), stepped.makespan.to_bits());
-            assert_eq!(legacy.handled_faults, stepped.handled_faults);
-            assert_eq!(legacy.discarded_faults, stepped.discarded_faults);
-            assert_eq!(legacy.redistributions, stepped.redistributions);
-            assert_eq!(legacy.queue_series, stepped.queue_series);
+            assert_eq!(one_shot.makespan.to_bits(), stepped.makespan.to_bits());
+            assert_eq!(one_shot.handled_faults, stepped.handled_faults);
+            assert_eq!(one_shot.discarded_faults, stepped.discarded_faults);
+            assert_eq!(one_shot.redistributions, stepped.redistributions);
+            assert_eq!(one_shot.queue_series, stepped.queue_series);
             assert!(stepped.packs.is_empty(), "flat-FIFO sessions never stage");
         }
     }
@@ -281,11 +278,11 @@ proptest! {
     }
 }
 
-/// The offline `PackSession` reproduces the legacy `run_partition`
-/// outcomes pack for pack (same derived seeds, same engine runs).
+/// The offline `PackSession` stepped pack by pack reports exactly what
+/// `run_to_completion()` returns (same derived seeds, same engine runs),
+/// and two drains of the same runner agree bit for bit.
 #[test]
-#[allow(deprecated)]
-fn pack_session_matches_legacy_run_partition() {
+fn pack_session_steps_match_run_to_completion() {
     let workload = Workload::new(
         vec![
             TaskSpec::new(2.4e5),
@@ -304,21 +301,34 @@ fn pack_session_matches_legacy_run_partition() {
         (Heuristic::IteratedGreedyEndLocal, Some(9)),
         (Heuristic::ShortestTasksFirstEndLocal, Some(21)),
     ] {
-        let legacy =
-            redistrib_packs::run_partition(&workload, platform, &partition, h, seed).unwrap();
         let mut runner = redistrib_packs::PackRunner::new(workload.clone(), platform)
             .partition(partition.clone())
             .heuristic(h);
         if let Some(s) = seed {
             runner = runner.faults(s);
         }
-        let stepped = runner.session().run_to_completion().unwrap();
-        assert_eq!(legacy.makespan.to_bits(), stepped.makespan.to_bits());
-        assert_eq!(legacy.pack_outcomes.len(), stepped.pack_outcomes.len());
-        for (a, b) in legacy.pack_outcomes.iter().zip(&stepped.pack_outcomes) {
+        let drained = runner.clone().session().run_to_completion().unwrap();
+        let again = runner.clone().session().run_to_completion().unwrap();
+        assert_eq!(drained.makespan.to_bits(), again.makespan.to_bits());
+        assert_eq!(drained.pack_outcomes.len(), again.pack_outcomes.len());
+        for (a, b) in drained.pack_outcomes.iter().zip(&again.pack_outcomes) {
             assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
             assert_eq!(a.handled_faults, b.handled_faults);
             assert_eq!(a.redistributions, b.redistributions);
+        }
+
+        let mut session = runner.session();
+        let mut stepped = Vec::new();
+        while let Some(event) = session.step().unwrap() {
+            stepped.push(event);
+        }
+        assert_eq!(session.makespan_so_far().to_bits(), drained.makespan.to_bits());
+        assert_eq!(stepped.len(), drained.pack_outcomes.len());
+        for (k, (event, out)) in stepped.iter().zip(&drained.pack_outcomes).enumerate() {
+            assert_eq!(event.pack, k);
+            assert_eq!(event.makespan.to_bits(), out.makespan.to_bits());
+            assert_eq!(event.handled_faults, out.handled_faults);
+            assert_eq!(event.redistributions, out.redistributions);
         }
     }
 }

@@ -24,7 +24,5 @@ pub mod session;
 pub use partition::{
     chunk_by_capacity, dp_consecutive, lpt_packs, pack_makespan, single_pack, PackPartition,
 };
-#[allow(deprecated)]
-pub use schedule::run_partition;
 pub use schedule::{fits_single_pack, pack_seed, MultiPackOutcome};
 pub use session::{PackEvent, PackRunner, PackSession};

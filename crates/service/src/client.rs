@@ -1,26 +1,27 @@
 //! A minimal blocking HTTP/1.1 client for the service.
 //!
-//! Two tiers live here:
+//! Both tiers run on the [`crate::pool`] transport — the same dial and
+//! request/response exchange the router uses towards its backends:
 //!
 //! * The free functions ([`request`], [`get`], [`post`], [`delete`]) send
 //!   one request per connection with `Connection: close` — small enough to
 //!   double as a reference for driving the service from any language.
-//!   [`request_answer`] is the same one-shot call with an explicit
-//!   deadline and the full parsed [`HttpAnswer`]; the router's proxy and
-//!   the supervisor's health probes are built on it.
-//! * [`Client`] holds a keep-alive connection open across requests,
-//!   applies a per-request deadline, and retries **idempotent GETs only**
-//!   with seeded exponential backoff plus jitter — so retry schedules in
-//!   tests and benches are reproducible. When a `503`/`429` answer
-//!   carries a `Retry-After` header, the client honors the server's hint
-//!   instead of its own exponential schedule, capped at
-//!   [`ClientConfig::backoff_max`].
+//! * [`Client`] is a capacity-1 [`ConnectionPool`] for one address: its
+//!   connection is kept alive across requests and redialed once,
+//!   transparently, when the server closed it while idle (under the
+//!   pool's resend rule). On top it applies a per-request deadline and
+//!   retries **idempotent GETs only** with seeded exponential backoff plus
+//!   jitter — so retry schedules in tests and benches are reproducible.
+//!   When a `503`/`429` answer carries a `Retry-After` header, the client
+//!   honors the server's hint instead of its own exponential schedule,
+//!   capped at [`ClientConfig::backoff_max`].
 
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::time::Duration;
 
 use crate::faultio::XorShift64;
+use crate::pool::{Conn, ConnectionPool, PoolConfig};
 
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -52,33 +53,9 @@ pub fn request(
     path: &str,
     body: Option<&str>,
 ) -> io::Result<(u16, String)> {
-    request_answer(addr, method, path, body, IO_TIMEOUT).map(|ans| (ans.status, ans.body))
-}
-
-/// Sends one request on a fresh `Connection: close` connection with an
-/// explicit deadline applied to connect, write, and read, and returns
-/// the parsed [`HttpAnswer`].
-///
-/// # Errors
-/// Propagates socket errors (including connect timeouts); malformed
-/// responses surface as [`io::ErrorKind::InvalidData`].
-pub fn request_answer(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    timeout: Duration,
-) -> io::Result<HttpAnswer> {
-    let stream = TcpStream::connect_timeout(&addr, timeout)?;
-    // The head and body go out as separate small writes; without nodelay
-    // Nagle parks the second behind the peer's delayed ACK (~40 ms per
-    // request, doubled through the router's proxy hop).
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let mut reader = BufReader::new(stream);
-    send_request(reader.get_mut(), addr, method, path, body, true)?;
-    read_response(&mut reader)
+    let (_, answer) =
+        Conn::dial(addr, IO_TIMEOUT)?.exchange(method, path, body, IO_TIMEOUT, true);
+    answer.map(|ans| (ans.status, ans.body))
 }
 
 /// `GET path` → `(status, body)`.
@@ -103,112 +80,6 @@ pub fn post(addr: SocketAddr, path: &str, body: &str) -> io::Result<(u16, String
 /// See [`request`].
 pub fn delete(addr: SocketAddr, path: &str) -> io::Result<(u16, String)> {
     request(addr, "DELETE", path, None)
-}
-
-pub(crate) fn send_request(
-    stream: &mut TcpStream,
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    close: bool,
-) -> io::Result<()> {
-    let payload = body.unwrap_or("");
-    let connection = if close { "close" } else { "keep-alive" };
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
-        payload.len(),
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(payload.as_bytes())?;
-    stream.flush()
-}
-
-/// Reads one response off the wire, reporting whether *any* response
-/// bytes arrived before the outcome was decided. The distinction drives
-/// resend safety on pooled connections: a keep-alive connection the
-/// server closed while idle yields zero bytes (the request was never
-/// processed — resending is safe even for a POST), whereas a connection
-/// that died mid-response may have committed the request's effects.
-pub(crate) fn read_response_probed(
-    reader: &mut BufReader<TcpStream>,
-) -> (bool, io::Result<HttpAnswer>) {
-    match reader.fill_buf() {
-        Ok([]) => {
-            (false, Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed")))
-        }
-        Ok(_) => (true, read_response(reader)),
-        Err(e) => (false, Err(e)),
-    }
-}
-
-/// Whether resending `method` after a stale-connection failure is safe.
-/// GET and DELETE are idempotent — always safe. POST (create,
-/// checkpoint, admin actions) is safe only when the failure arrived
-/// before any response byte: the server either never saw the request or
-/// closed the connection without starting to answer it.
-pub(crate) fn resend_safe(method: &str, got_response_bytes: bool) -> bool {
-    matches!(method, "GET" | "DELETE") || !got_response_bytes
-}
-
-/// Reads one response off the wire.
-pub(crate) fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<HttpAnswer> {
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
-        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed"));
-    }
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-
-    let mut content_length: Option<usize> = None;
-    let mut content_type: Option<String> = None;
-    let mut retry_after: Option<u64> = None;
-    let mut close = false;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated head"));
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim();
-            let value = value.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().ok();
-            } else if name.eq_ignore_ascii_case("content-type") {
-                content_type = Some(value.to_string());
-            } else if name.eq_ignore_ascii_case("retry-after") {
-                retry_after = value.parse().ok();
-            } else if name.eq_ignore_ascii_case("connection")
-                && value.eq_ignore_ascii_case("close")
-            {
-                close = true;
-            }
-        }
-    }
-
-    let body = match content_length {
-        Some(n) => {
-            let mut buf = vec![0u8; n];
-            reader.read_exact(&mut buf)?;
-            buf
-        }
-        // Only legal without keep-alive: read to EOF.
-        None => {
-            let mut buf = Vec::new();
-            reader.read_to_end(&mut buf)?;
-            buf
-        }
-    };
-    let body = String::from_utf8(body)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 body"))?;
-    Ok(HttpAnswer { status, body, content_type, retry_after, close })
 }
 
 /// Tunables for [`Client`].
@@ -254,8 +125,7 @@ impl Default for ClientConfig {
 pub struct Client {
     addr: SocketAddr,
     cfg: ClientConfig,
-    conn: Option<BufReader<TcpStream>>,
-    opened: u64,
+    pool: ConnectionPool,
     rng: XorShift64,
 }
 
@@ -270,82 +140,27 @@ impl Client {
     #[must_use]
     pub fn with_config(addr: SocketAddr, cfg: ClientConfig) -> Self {
         let rng = XorShift64::new(cfg.seed);
-        Self { addr, cfg, conn: None, opened: 0, rng }
+        let pool = ConnectionPool::new(PoolConfig { capacity: 1, ..PoolConfig::default() });
+        Self { addr, cfg, pool, rng }
     }
 
     /// Connections this client has opened so far (observability for
     /// tests asserting keep-alive reuse).
     #[must_use]
     pub fn connections_opened(&self) -> u64 {
-        self.opened
-    }
-
-    fn connect(&mut self) -> io::Result<&mut BufReader<TcpStream>> {
-        if self.conn.is_none() {
-            let stream = TcpStream::connect(self.addr)?;
-            let _ = stream.set_nodelay(true);
-            stream.set_read_timeout(Some(self.cfg.timeout))?;
-            stream.set_write_timeout(Some(self.cfg.timeout))?;
-            self.opened += 1;
-            self.conn = Some(BufReader::new(stream));
-        }
-        Ok(self.conn.as_mut().unwrap())
+        self.pool.connections_opened()
     }
 
     /// One request on the kept-alive connection, no retries. A stale
-    /// failure on a *reused* connection is transparently resent once on a
-    /// fresh connection when resending is safe ([`resend_safe`]): always
-    /// for idempotent GET/DELETE, and for POST only when the failure
-    /// arrived before any response byte — the server closed the idle
-    /// connection under us without processing the request. A POST that
-    /// died mid-response surfaces the error instead (its effects may have
-    /// been committed).
+    /// connection is resent once on a fresh one when that is safe —
+    /// never for a POST that died mid-response (see [`crate::pool`]).
     fn request_once(
-        &mut self,
+        &self,
         method: &str,
         path: &str,
         body: Option<&str>,
     ) -> io::Result<HttpAnswer> {
-        let reused = self.conn.is_some();
-        let (got_bytes, result) = self.request_on_conn(method, path, body);
-        match result {
-            Err(ref e) if reused && is_stale(e) && resend_safe(method, got_bytes) => {
-                self.conn = None;
-                self.request_on_conn(method, path, body).1
-            }
-            other => other,
-        }
-    }
-
-    fn request_on_conn(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> (bool, io::Result<HttpAnswer>) {
-        let addr = self.addr;
-        let reader = match self.connect() {
-            Ok(reader) => reader,
-            Err(e) => return (false, Err(e)),
-        };
-        let (got_bytes, sent) =
-            match send_request(reader.get_mut(), addr, method, path, body, false) {
-                Ok(()) => read_response_probed(reader),
-                Err(e) => (false, Err(e)),
-            };
-        let outcome = match sent {
-            Ok(ans) => {
-                if ans.close {
-                    self.conn = None;
-                }
-                Ok(ans)
-            }
-            Err(e) => {
-                self.conn = None;
-                Err(e)
-            }
-        };
-        (got_bytes, outcome)
+        self.pool.request(self.addr, method, path, body, self.cfg.timeout)
     }
 
     /// The sleep before retry number `attempt` (0-based): the server's
@@ -416,22 +231,12 @@ impl Client {
     }
 }
 
-/// Errors consistent with "the server closed the idle keep-alive
-/// connection between our requests".
-pub(crate) fn is_stale(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::UnexpectedEof
-            | io::ErrorKind::ConnectionReset
-            | io::ErrorKind::ConnectionAborted
-            | io::ErrorKind::BrokenPipe
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::http::{HttpConfig, HttpServer, Response};
+    use crate::pool::resend_safe;
+    use std::io::{BufRead, BufReader, Read, Write};
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
     use std::sync::Arc;
 

@@ -1,24 +1,31 @@
-//! Per-backend keep-alive connection pool — the router data plane's
-//! replacement for one `TcpStream::connect` per proxied request.
+//! The service's one client-side HTTP transport: a dialed keep-alive
+//! connection (`Conn`) and the bounded per-address pool that reuses
+//! them ([`ConnectionPool`]).
 //!
-//! PR 8 showed the router's hot path is plumbing, not scheduling: every
-//! proxied request, health probe, and migration call paid a fresh TCP
-//! handshake. The [`ConnectionPool`] keeps a bounded shelf of idle
-//! keep-alive connections per backend address and hands them out for
-//! single requests:
+//! Every request the crate sends goes through here — router proxying,
+//! supervisor probes, fleet fan-out, migration restores, the keep-alive
+//! [`Client`](crate::client::Client) (a capacity-1 pool) and the
+//! one-shot `Connection: close` helpers in [`crate::client`]:
 //!
+//! * **One dial.** `Conn::dial` is the crate's only socket dial
+//!   (`redistrib-lint`'s `no-raw-connect-in-router` enforces it): a
+//!   connect deadline, `TCP_NODELAY`, and read/write deadlines.
+//! * **One exchange.** `Conn::exchange` writes one request and reads its
+//!   answer, reporting whether any response byte arrived. The socket
+//!   deadlines are set again only when a caller asks for a different one,
+//!   so a warm connection costs no `setsockopt` per request.
 //! * **Checkout/checkin.** [`ConnectionPool::request`] pops an idle
 //!   connection (LIFO — the warmest one), or dials a new one while the
 //!   shelf is under [`PoolConfig::capacity`]. At capacity the checkout
 //!   is *refused* with [`io::ErrorKind::WouldBlock`] — the caller sheds
 //!   instead of queueing, so a saturated backend never grows an
 //!   unbounded connection herd.
-//! * **Stale detection + safe resend.** A pooled connection the backend
+//! * **Stale detection + safe resend.** A pooled connection the server
 //!   closed while idle fails with an EOF/reset on first use. The pool
 //!   retries exactly once on a *freshly dialed* connection (every other
-//!   idle connection to that backend is just as dead) — and only when
+//!   idle connection to that address is just as dead) — and only when
 //!   resending is safe: always for GET/DELETE, for POST only when zero
-//!   response bytes arrived ([`crate::client`]'s resend rule).
+//!   response bytes arrived (`resend_safe`).
 //! * **Flush on death.** Breaker trips, retire, and failover call
 //!   [`ConnectionPool::flush`] for the dead backend's address: idle
 //!   connections are dropped and the shelf's *epoch* is bumped, so
@@ -39,13 +46,166 @@
 //! proxy call counting toward the breaker exactly once.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::client::{is_stale, read_response_probed, resend_safe, send_request, HttpAnswer};
+use crate::client::HttpAnswer;
 use crate::sync::{rank, OrderedMutex};
+
+/// One dialed connection and the read/write deadline its socket carries.
+#[derive(Debug)]
+pub(crate) struct Conn {
+    io: BufReader<TcpStream>,
+    addr: SocketAddr,
+    deadline: Duration,
+}
+
+impl Conn {
+    /// The crate's one socket dial: connect within `deadline`, then apply
+    /// it to reads and writes. The head and body go out as separate small
+    /// writes; without nodelay Nagle parks the second behind the peer's
+    /// delayed ACK (~40 ms per request, doubled through the router hop).
+    pub(crate) fn dial(addr: SocketAddr, deadline: Duration) -> io::Result<Self> {
+        let stream = TcpStream::connect_timeout(&addr, deadline)?;
+        let _ = stream.set_nodelay(true);
+        stream.set_read_timeout(Some(deadline))?;
+        stream.set_write_timeout(Some(deadline))?;
+        Ok(Self { io: BufReader::new(stream), addr, deadline })
+    }
+
+    /// Runs one request/response exchange under `deadline`, asking the
+    /// server to close afterwards when `close` is set. Also reports
+    /// whether *any* response bytes arrived before the outcome was
+    /// decided: a keep-alive connection the server closed while idle
+    /// yields zero bytes (the request was never processed — resending is
+    /// safe even for a POST), whereas one that died mid-response may have
+    /// committed the request's effects.
+    pub(crate) fn exchange(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+        deadline: Duration,
+        close: bool,
+    ) -> (bool, io::Result<HttpAnswer>) {
+        let payload = body.unwrap_or("");
+        let connection = if close { "close" } else { "keep-alive" };
+        let head = format!(
+            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
+            self.addr,
+            payload.len(),
+        );
+        let sent = self.set_deadline(deadline).and_then(|()| {
+            let stream = self.io.get_mut();
+            stream.write_all(head.as_bytes())?;
+            stream.write_all(payload.as_bytes())?;
+            stream.flush()
+        });
+        if let Err(e) = sent {
+            return (false, Err(e));
+        }
+        match self.io.fill_buf() {
+            Ok([]) => {
+                (false, Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed")))
+            }
+            Ok(_) => (true, read_response(&mut self.io)),
+            Err(e) => (false, Err(e)),
+        }
+    }
+
+    fn set_deadline(&mut self, deadline: Duration) -> io::Result<()> {
+        if deadline != self.deadline {
+            let stream = self.io.get_ref();
+            stream.set_read_timeout(Some(deadline))?;
+            stream.set_write_timeout(Some(deadline))?;
+            self.deadline = deadline;
+        }
+        Ok(())
+    }
+}
+
+/// Reads one response off the wire.
+fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<HttpAnswer> {
+    let mut status_line = String::new();
+    if reader.read_line(&mut status_line)? == 0 {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed"));
+    }
+    let status: u16 = status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
+
+    let mut content_length: Option<usize> = None;
+    let mut content_type: Option<String> = None;
+    let mut retry_after: Option<u64> = None;
+    let mut close = false;
+    loop {
+        let mut line = String::new();
+        if reader.read_line(&mut line)? == 0 {
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated head"));
+        }
+        let line = line.trim_end();
+        if line.is_empty() {
+            break;
+        }
+        if let Some((name, value)) = line.split_once(':') {
+            let name = name.trim();
+            let value = value.trim();
+            if name.eq_ignore_ascii_case("content-length") {
+                content_length = value.parse().ok();
+            } else if name.eq_ignore_ascii_case("content-type") {
+                content_type = Some(value.to_string());
+            } else if name.eq_ignore_ascii_case("retry-after") {
+                retry_after = value.parse().ok();
+            } else if name.eq_ignore_ascii_case("connection")
+                && value.eq_ignore_ascii_case("close")
+            {
+                close = true;
+            }
+        }
+    }
+
+    let body = match content_length {
+        Some(n) => {
+            let mut buf = vec![0u8; n];
+            reader.read_exact(&mut buf)?;
+            buf
+        }
+        // Only legal without keep-alive: read to EOF.
+        None => {
+            let mut buf = Vec::new();
+            reader.read_to_end(&mut buf)?;
+            buf
+        }
+    };
+    let body = String::from_utf8(body)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 body"))?;
+    Ok(HttpAnswer { status, body, content_type, retry_after, close })
+}
+
+/// Whether resending `method` after a stale-connection failure is safe.
+/// GET and DELETE are idempotent — always safe. POST (create,
+/// checkpoint, admin actions) is safe only when the failure arrived
+/// before any response byte: the server either never saw the request or
+/// closed the connection without starting to answer it.
+pub(crate) fn resend_safe(method: &str, got_response_bytes: bool) -> bool {
+    matches!(method, "GET" | "DELETE") || !got_response_bytes
+}
+
+/// Errors consistent with "the server closed the idle keep-alive
+/// connection between our requests".
+fn is_stale(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::UnexpectedEof
+            | io::ErrorKind::ConnectionReset
+            | io::ErrorKind::ConnectionAborted
+            | io::ErrorKind::BrokenPipe
+    )
+}
 
 /// Sizing and lifetime knobs of a [`ConnectionPool`].
 #[derive(Debug, Clone)]
@@ -70,7 +230,7 @@ impl Default for PoolConfig {
 /// One parked keep-alive connection.
 #[derive(Debug)]
 struct Idle {
-    conn: BufReader<TcpStream>,
+    conn: Conn,
     since: Instant,
 }
 
@@ -99,7 +259,7 @@ pub struct ConnectionPool {
 /// return or discard it correctly.
 #[derive(Debug)]
 struct Checkout {
-    conn: BufReader<TcpStream>,
+    conn: Conn,
     epoch: u64,
     reused: bool,
 }
@@ -154,8 +314,8 @@ impl ConnectionPool {
     /// # Errors
     /// [`io::ErrorKind::WouldBlock`] when the shelf is at capacity (the
     /// caller should shed, not count it as a backend failure unless its
-    /// protocol says so); otherwise socket/parse errors as in
-    /// [`crate::client::request_answer`].
+    /// protocol says so); otherwise socket errors, and malformed
+    /// responses as [`io::ErrorKind::InvalidData`].
     pub fn request(
         &self,
         addr: SocketAddr,
@@ -189,16 +349,7 @@ impl ConnectionPool {
         body: Option<&str>,
         timeout: Duration,
     ) -> Result<HttpAnswer, (bool, io::Error)> {
-        let stream = checkout.conn.get_mut();
-        let apply_deadline = stream
-            .set_read_timeout(Some(timeout))
-            .and_then(|()| stream.set_write_timeout(Some(timeout)));
-        let (got_bytes, outcome) = match apply_deadline.and_then(|()| {
-            send_request(checkout.conn.get_mut(), addr, method, path, body, false)
-        }) {
-            Ok(()) => read_response_probed(&mut checkout.conn),
-            Err(e) => (false, Err(e)),
-        };
+        let (got_bytes, outcome) = checkout.conn.exchange(method, path, body, timeout, false);
         match outcome {
             Ok(ans) => {
                 if checkout.reused {
@@ -244,24 +395,16 @@ impl ConnectionPool {
             shelf.outstanding += 1;
             shelf.epoch
         };
-        match Self::dial(addr, timeout) {
-            Ok(stream) => {
+        match Conn::dial(addr, timeout) {
+            Ok(conn) => {
                 self.opened.fetch_add(1, Ordering::Relaxed);
-                Ok(Checkout { conn: BufReader::new(stream), epoch, reused: false })
+                Ok(Checkout { conn, epoch, reused: false })
             }
             Err(e) => {
                 self.discard(addr, epoch);
                 Err(e)
             }
         }
-    }
-
-    fn dial(addr: SocketAddr, timeout: Duration) -> io::Result<TcpStream> {
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        // Head and body go out as separate small writes; see
-        // `client::request_answer` for why nodelay matters double here.
-        let _ = stream.set_nodelay(true);
-        Ok(stream)
     }
 
     /// Reshelves a healthy connection — unless the shelf was flushed

@@ -27,13 +27,20 @@
 //!   either been restarted in place or its sessions have been migrated.
 //! * `GET /v1/sessions`, `POST /v1/admin/checkpoint`, and
 //!   `POST /v1/admin/compact` fan out to every active backend
-//!   concurrently over pooled connections and merge the answers.
+//!   concurrently ([`Supervisor::fan_out`]) and fold the answers with one
+//!   merge: integer counts summed, arrays concatenated in fleet order
+//!   (sessions sorted by id), and the backends that did not answer
+//!   listed under `unreachable`.
 //! * `POST /v1/admin/retire/{backend}` gracefully removes one backend:
 //!   drain, wait for exit, redistribute its final checkpoints.
 //! * `POST /v1/admin/drain` drains the whole fleet and then the router.
 //!
-//! The module doc of [`crate::supervisor`] describes the breaker and
-//! recovery machinery; [`crate::shard`] the placement function.
+//! Every backend call — proxying, fan-out, the supervisor's probes —
+//! goes through the supervisor's
+//! [`ConnectionPool`](crate::pool::ConnectionPool), the crate's one
+//! client-side transport. The module doc of [`crate::supervisor`]
+//! describes the breaker and recovery machinery; [`crate::shard`] the
+//! placement function.
 
 use std::io;
 use std::net::SocketAddr;
@@ -219,133 +226,64 @@ fn handle_create_like(state: &RouterState, req: &Request) -> Response {
     resp
 }
 
-/// Issues the same request to every active backend **concurrently**
-/// over pooled connections and returns each backend's answer in fleet
-/// order (`None` for socket-level failures). Fan-out endpoints pay one
-/// slowest-backend round trip instead of the sum of all of them.
-fn fan_out(
+/// How a fleet-wide endpoint folds one field of its backends' answers.
+#[derive(Debug, Clone, Copy)]
+enum Fold {
+    /// Integer counts, summed.
+    Sum,
+    /// Arrays, concatenated in fleet order.
+    Concat,
+    /// Arrays of objects, concatenated and then sorted by their `id`.
+    ById,
+}
+
+/// A fleet-wide endpoint: fans the request out to every active backend
+/// ([`Supervisor::fan_out`]), folds `fields` of each `200` answer into
+/// one body (keys in the order given), and appends the names of the
+/// backends that did not answer `200` as `unreachable`.
+fn handle_fleet_wide(
     state: &RouterState,
     method: &str,
     path: &str,
     body: Option<&str>,
-) -> Vec<(String, Option<HttpAnswer>)> {
-    let targets = state.supervisor.active_backends();
-    std::thread::scope(|scope| {
-        let answers: Vec<_> = targets
-            .iter()
-            .map(|(_, addr)| {
-                let addr = *addr;
-                scope.spawn(move || {
-                    state
-                        .supervisor
-                        .pool()
-                        .request(addr, method, path, body, state.proxy_timeout)
-                        .ok()
-                })
-            })
-            .collect();
-        targets
-            .into_iter()
-            .zip(answers)
-            .map(|((name, _), answer)| (name, answer.join().ok().flatten()))
-            .collect()
-    })
-}
-
-/// `GET /v1/sessions` fan-out: merged summaries from every active
-/// backend, plus the names of backends that could not answer.
-fn handle_list(state: &RouterState) -> Response {
-    let mut sessions: Vec<Json> = Vec::new();
-    let mut evicted: Vec<Json> = Vec::new();
+    fields: &[(&'static str, Fold)],
+) -> Response {
+    let mut merged: Vec<(&str, Json)> = fields
+        .iter()
+        .map(|&(key, fold)| match fold {
+            Fold::Sum => (key, Json::Int(0)),
+            Fold::Concat | Fold::ById => (key, Json::Arr(Vec::new())),
+        })
+        .collect();
     let mut unreachable: Vec<Json> = Vec::new();
-    for (name, answered) in fan_out(state, "GET", "/v1/sessions", None) {
-        match answered {
-            Some(ans) if ans.status == 200 => {
-                if let Ok(doc) = Json::parse(&ans.body) {
-                    if let Some(arr) = doc.get("sessions").and_then(Json::as_arr) {
-                        sessions.extend(arr.iter().cloned());
-                    }
-                    if let Some(arr) = doc.get("evicted").and_then(Json::as_arr) {
-                        evicted.extend(arr.iter().cloned());
-                    }
-                }
+    for (name, answered) in state.supervisor.fan_out(method, path, body, state.proxy_timeout) {
+        let doc = match answered {
+            Some(ans) if ans.status == 200 => Json::parse(&ans.body).ok(),
+            _ => {
+                unreachable.push(Json::Str(name));
+                continue;
             }
-            _ => unreachable.push(Json::Str(name)),
+        };
+        let Some(doc) = doc else { continue };
+        for (key, total) in &mut merged {
+            match (total, doc.get(key)) {
+                (Json::Int(sum), Some(value)) => {
+                    *sum += value.as_u64().map_or(0, i128::from);
+                }
+                (Json::Arr(all), Some(value)) => {
+                    all.extend(value.as_arr().unwrap_or_default().iter().cloned());
+                }
+                _ => {}
+            }
         }
     }
-    let key = |j: &Json| j.get("id").and_then(Json::as_u64).unwrap_or(0);
-    sessions.sort_by_key(key);
-    Response::json(
-        200,
-        &obj(vec![
-            ("sessions", Json::Arr(sessions)),
-            ("evicted", Json::Arr(evicted)),
-            ("unreachable", Json::Arr(unreachable)),
-        ]),
-    )
-}
-
-/// `POST /v1/admin/checkpoint` fan-out: every active backend checkpoints
-/// its live sessions; counts are summed, failures merged.
-fn handle_admin_checkpoint(state: &RouterState) -> Response {
-    let mut total: i128 = 0;
-    let mut failures: Vec<Json> = Vec::new();
-    let mut unreachable: Vec<Json> = Vec::new();
-    for (name, answered) in fan_out(state, "POST", "/v1/admin/checkpoint", Some("{}")) {
-        match answered {
-            Some(ans) if ans.status == 200 => {
-                if let Ok(doc) = Json::parse(&ans.body) {
-                    if let Some(n) = doc.get("checkpointed").and_then(Json::as_u64) {
-                        total += i128::from(n);
-                    }
-                    if let Some(arr) = doc.get("failures").and_then(Json::as_arr) {
-                        failures.extend(arr.iter().cloned());
-                    }
-                }
-            }
-            _ => unreachable.push(Json::Str(name)),
+    for (&(_, fold), (_, total)) in fields.iter().zip(&mut merged) {
+        if let (Fold::ById, Json::Arr(items)) = (fold, total) {
+            items.sort_by_key(|j| j.get("id").and_then(Json::as_u64).unwrap_or(0));
         }
     }
-    Response::json(
-        200,
-        &obj(vec![
-            ("checkpointed", Json::Int(total)),
-            ("failures", Json::Arr(failures)),
-            ("unreachable", Json::Arr(unreachable)),
-        ]),
-    )
-}
-
-/// `POST /v1/admin/compact` fan-out: every active backend compacts its
-/// snapshot archive (drop superseded files, age out quarantine debris);
-/// counts are summed.
-fn handle_admin_compact(state: &RouterState) -> Response {
-    let mut removed: i128 = 0;
-    let mut quarantined: i128 = 0;
-    let mut unreachable: Vec<Json> = Vec::new();
-    for (name, answered) in fan_out(state, "POST", "/v1/admin/compact", Some("{}")) {
-        match answered {
-            Some(ans) if ans.status == 200 => {
-                if let Ok(doc) = Json::parse(&ans.body) {
-                    if let Some(n) = doc.get("removed").and_then(Json::as_u64) {
-                        removed += i128::from(n);
-                    }
-                    if let Some(n) = doc.get("quarantined").and_then(Json::as_u64) {
-                        quarantined += i128::from(n);
-                    }
-                }
-            }
-            _ => unreachable.push(Json::Str(name)),
-        }
-    }
-    Response::json(
-        200,
-        &obj(vec![
-            ("removed", Json::Int(removed)),
-            ("quarantined", Json::Int(quarantined)),
-            ("unreachable", Json::Arr(unreachable)),
-        ]),
-    )
+    merged.push(("unreachable", Json::Arr(unreachable)));
+    Response::json(200, &obj(merged))
 }
 
 /// `POST /v1/admin/drain`: drain every backend (each checkpoints its
@@ -435,9 +373,27 @@ pub fn handle_router(state: &RouterState, req: &Request) -> Response {
         ("POST", ["v1", "sessions"]) | ("POST", ["v1", "sessions", "restore"]) => {
             handle_create_like(state, req)
         }
-        ("GET", ["v1", "sessions"]) => handle_list(state),
-        ("POST", ["v1", "admin", "checkpoint"]) => handle_admin_checkpoint(state),
-        ("POST", ["v1", "admin", "compact"]) => handle_admin_compact(state),
+        ("GET", ["v1", "sessions"]) => handle_fleet_wide(
+            state,
+            "GET",
+            "/v1/sessions",
+            None,
+            &[("sessions", Fold::ById), ("evicted", Fold::Concat)],
+        ),
+        ("POST", ["v1", "admin", "checkpoint"]) => handle_fleet_wide(
+            state,
+            "POST",
+            "/v1/admin/checkpoint",
+            Some("{}"),
+            &[("checkpointed", Fold::Sum), ("failures", Fold::Concat)],
+        ),
+        ("POST", ["v1", "admin", "compact"]) => handle_fleet_wide(
+            state,
+            "POST",
+            "/v1/admin/compact",
+            Some("{}"),
+            &[("removed", Fold::Sum), ("quarantined", Fold::Sum)],
+        ),
         ("POST", ["v1", "admin", "drain"]) => handle_admin_drain(state),
         ("POST", ["v1", "admin", "retire", name]) => handle_retire(state, name),
         (_, ["v1", "admin", "checkpoint" | "compact" | "drain"])
@@ -561,4 +517,102 @@ pub fn serve_router(
     };
 
     Ok(Router { server, state, probe: Some(probe), probe_stop })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::supervisor::InProcessLauncher;
+    use std::path::PathBuf;
+
+    const SPEC: &str = r#"{"platform":{"procs":8},"jobs":[{"size":4000},{"size":6000}]}"#;
+
+    fn temp_root(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("redistrib-router-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn call(state: &RouterState, method: &str, path: &str, body: &str) -> (u16, String) {
+        let req = Request {
+            method: method.into(),
+            path: path.into(),
+            query: Vec::new(),
+            body: body.as_bytes().to_vec(),
+            close: false,
+        };
+        let resp = handle_router(state, &req);
+        (resp.status, String::from_utf8(resp.body).unwrap())
+    }
+
+    /// Pins the merged bodies of the three fleet-wide endpoints, key
+    /// order included, first with the whole fleet up and then with one
+    /// backend dead but not yet noticed by a probe (so it is still
+    /// "active" and lands in `unreachable`).
+    #[test]
+    fn fan_out_bodies_are_pinned_with_and_without_a_dead_backend() {
+        let root = temp_root("fan-out");
+        let specs = ["b0", "b1"]
+            .map(|name| BackendSpec { name: name.into(), archive_dir: root.join(name) })
+            .to_vec();
+        let supervisor = Supervisor::boot_pooled(
+            Box::new(InProcessLauncher { workers: 2 }),
+            SupervisorConfig::default(),
+            PoolConfig::default(),
+            specs,
+        )
+        .unwrap();
+        let state = RouterState::new(Arc::new(supervisor), Duration::from_secs(5));
+        for _ in 0..4 {
+            assert_eq!(call(&state, "POST", "/v1/sessions", SPEC).0, 201);
+        }
+        let fleet_wide = |state: &RouterState| {
+            [
+                call(state, "GET", "/v1/sessions", ""),
+                call(state, "POST", "/v1/admin/checkpoint", ""),
+                call(state, "POST", "/v1/admin/compact", ""),
+            ]
+        };
+        // Rendezvous placement puts ids 2 and 3 on b0 and ids 1 and 4 on
+        // b1, so the merged listing is sorted, not concatenated.
+        let summary = |id: u64| {
+            format!(
+                r#"{{"id":{id},"jobs":2,"done":false,"now":0,"events":0,"queue_depth":0,"free_procs":8,"running":[]}}"#
+            )
+        };
+        let listing = |ids: &[u64], unreachable: &str| {
+            let sessions: Vec<String> = ids.iter().map(|&id| summary(id)).collect();
+            format!(
+                r#"{{"sessions":[{}],"evicted":[],"unreachable":[{unreachable}]}}"#,
+                sessions.join(",")
+            )
+        };
+        let up = fleet_wide(&state);
+        assert_eq!(up[0], (200, listing(&[1, 2, 3, 4], "")));
+        assert_eq!(
+            up[1],
+            (200, r#"{"checkpointed":4,"failures":[],"unreachable":[]}"#.to_string())
+        );
+        assert_eq!(
+            up[2],
+            (200, r#"{"removed":0,"quarantined":0,"unreachable":[]}"#.to_string())
+        );
+
+        // Killed without a tick: the supervisor still lists b1 as active,
+        // so every fan-out tries it and reports it unreachable.
+        assert!(state.supervisor().kill_backend("b1"));
+        let one_down = fleet_wide(&state);
+        assert_eq!(one_down[0], (200, listing(&[2, 3], r#""b1""#)));
+        assert_eq!(
+            one_down[1],
+            (200, r#"{"checkpointed":2,"failures":[],"unreachable":["b1"]}"#.to_string())
+        );
+        assert_eq!(
+            one_down[2],
+            (200, r#"{"removed":0,"quarantined":0,"unreachable":["b1"]}"#.to_string())
+        );
+        state.supervisor().kill_all();
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }

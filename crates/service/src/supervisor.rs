@@ -41,6 +41,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::archive::SnapshotArchive;
+use crate::client::HttpAnswer;
 use crate::http::HttpConfig;
 use crate::json::{obj, Json};
 use crate::pool::{ConnectionPool, PoolConfig};
@@ -477,25 +478,12 @@ impl Supervisor {
     /// `/healthz`, and bootstraps the shard map and the global id
     /// counter from the sessions the backends already hold (archive
     /// recovery means a freshly-launched fleet is not necessarily
-    /// empty).
+    /// empty). Probes, drains, migrations and the router's proxied
+    /// requests all share one connection pool built from `pool_cfg`.
     ///
     /// # Errors
     /// Duplicate names, launch failures, or a backend that never turns
     /// healthy — in which case everything already launched is killed.
-    pub fn boot(
-        launcher: Box<dyn BackendLauncher>,
-        cfg: SupervisorConfig,
-        specs: Vec<BackendSpec>,
-    ) -> io::Result<Self> {
-        Self::boot_pooled(launcher, cfg, PoolConfig::default(), specs)
-    }
-
-    /// [`Supervisor::boot`] with an explicit connection-pool
-    /// configuration (the router passes its `pool` settings through
-    /// here so probes, drains and proxied requests share one pool).
-    ///
-    /// # Errors
-    /// Same failure modes as [`Supervisor::boot`].
     pub fn boot_pooled(
         launcher: Box<dyn BackendLauncher>,
         cfg: SupervisorConfig,
@@ -964,40 +952,45 @@ impl Supervisor {
         }
     }
 
+    /// Sends the same request to every active backend **concurrently**
+    /// over the pool and returns each backend's answer in fleet order
+    /// (`None` where the exchange failed). A fleet-wide call costs one
+    /// slowest-backend round trip instead of the sum of all of them.
+    /// Failures are not reported to the breakers.
+    pub fn fan_out(
+        &self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+        timeout: Duration,
+    ) -> Vec<(String, Option<HttpAnswer>)> {
+        let targets = self.active_backends();
+        std::thread::scope(|scope| {
+            let answers: Vec<_> = targets
+                .iter()
+                .map(|&(_, addr)| {
+                    scope.spawn(move || {
+                        self.pool.request(addr, method, path, body, timeout).ok()
+                    })
+                })
+                .collect();
+            targets
+                .into_iter()
+                .zip(answers)
+                .map(|((name, _), answer)| (name, answer.join().ok().flatten()))
+                .collect()
+        })
+    }
+
     /// Asks every active backend to drain (graceful fleet shutdown).
     /// Each drain request checkpoints that backend's sessions before
     /// answering. Returns `(name, acknowledged)` per active backend;
     /// pair with [`Supervisor::reap_all`] to wait for the exits.
     pub fn drain_all(&self) -> Vec<(String, bool)> {
-        let targets = self.active_backends();
-        // Each backend checkpoints everything before acknowledging its
-        // drain, so fan the requests out concurrently: fleet shutdown
-        // takes one slowest-backend drain, not the sum of all of them.
-        std::thread::scope(|scope| {
-            let acks: Vec<_> = targets
-                .iter()
-                .map(|(_, addr)| {
-                    let addr = *addr;
-                    scope.spawn(move || {
-                        self.pool
-                            .request(
-                                addr,
-                                "POST",
-                                "/v1/admin/drain",
-                                Some("{}"),
-                                self.cfg.drain_budget,
-                            )
-                            .map(|ans| ans.status == 200)
-                            .unwrap_or(false)
-                    })
-                })
-                .collect();
-            targets
-                .iter()
-                .zip(acks)
-                .map(|((name, _), ack)| (name.clone(), ack.join().unwrap_or(false)))
-                .collect()
-        })
+        self.fan_out("POST", "/v1/admin/drain", Some("{}"), self.cfg.drain_budget)
+            .into_iter()
+            .map(|(name, answer)| (name, answer.is_some_and(|ans| ans.status == 200)))
+            .collect()
     }
 
     /// Waits for every backend to exit after [`Supervisor::drain_all`];
@@ -1080,9 +1073,10 @@ mod tests {
             BackendSpec { name: "b0".into(), archive_dir: root.join("b0") },
             BackendSpec { name: "b1".into(), archive_dir: root.join("b1") },
         ];
-        let sup = Supervisor::boot(
+        let sup = Supervisor::boot_pooled(
             Box::new(InProcessLauncher { workers: 2 }),
             fast_cfg(restart_attempts),
+            PoolConfig::default(),
             specs,
         )
         .unwrap();

@@ -85,8 +85,6 @@ pub mod prelude {
         EndSemantics, ExecutionMode, JobSpec, PaperModel, PeriodRule, Platform, SpeedupModel,
         TaskSpec, TimeCalc, Workload,
     };
-    #[allow(deprecated)]
-    pub use redistrib_online::run_online;
     pub use redistrib_online::{
         OnlineConfig, OnlineOutcome, OnlineStrategy, PackStaging, Scheduler, Session,
         SessionEvent,
