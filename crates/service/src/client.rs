@@ -21,25 +21,9 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use crate::faultio::XorShift64;
-use crate::pool::{Conn, ConnectionPool, PoolConfig};
+use crate::pool::{Conn, ConnectionPool, HttpAnswer, PoolConfig};
 
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// One fully-parsed HTTP response: status, body, and the headers the
-/// service's clients act on.
-#[derive(Debug, Clone)]
-pub struct HttpAnswer {
-    /// HTTP status code.
-    pub status: u16,
-    /// UTF-8 body.
-    pub body: String,
-    /// `Content-Type` header value, if present.
-    pub content_type: Option<String>,
-    /// `Retry-After` header in whole seconds, if present and numeric.
-    pub retry_after: Option<u64>,
-    /// Whether the server announced it will close the connection.
-    pub close: bool,
-}
 
 /// Sends one request on a fresh `Connection: close` connection and
 /// returns `(status, body)`.

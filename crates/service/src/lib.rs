@@ -102,11 +102,11 @@ pub mod supervisor;
 pub mod sync;
 
 pub use archive::{SnapshotArchive, ARCHIVE_VERSION};
-pub use client::{Client, ClientConfig, HttpAnswer};
+pub use client::{Client, ClientConfig};
 pub use faultio::{FaultPlan, FaultReader, FaultWriter, ReadFault, WriteFault};
 pub use http::{HttpConfig, HttpServer, Request, Response};
 pub use json::{Json, JsonError};
-pub use pool::{ConnectionPool, PoolConfig};
+pub use pool::{ConnectionPool, HttpAnswer, PoolConfig};
 pub use router::{handle_router, serve_router, Router, RouterConfig, RouterState};
 pub use server::{handle, serve, serve_with, ServiceConfig, ServiceHost, ServiceState};
 pub use shard::{rendezvous, ShardMap};

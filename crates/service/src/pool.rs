@@ -51,7 +51,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::client::HttpAnswer;
 use crate::sync::{rank, OrderedMutex};
 
 /// One dialed connection and the read/write deadline its socket carries.
@@ -124,6 +123,22 @@ impl Conn {
         }
         Ok(())
     }
+}
+
+/// One fully-parsed HTTP response: status, body, and the headers the
+/// service's clients act on.
+#[derive(Debug, Clone)]
+pub struct HttpAnswer {
+    /// HTTP status code.
+    pub status: u16,
+    /// UTF-8 body.
+    pub body: String,
+    /// `Content-Type` header value, if present.
+    pub content_type: Option<String>,
+    /// `Retry-After` header in whole seconds, if present and numeric.
+    pub retry_after: Option<u64>,
+    /// Whether the server announced it will close the connection.
+    pub close: bool,
 }
 
 /// Reads one response off the wire.

@@ -49,10 +49,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::client::HttpAnswer;
 use crate::http::{HttpConfig, HttpServer, Request, Response};
 use crate::json::{obj, Json};
-use crate::pool::PoolConfig;
+use crate::pool::{HttpAnswer, PoolConfig};
 use crate::spec::ApiError;
 use crate::supervisor::{BackendLauncher, BackendSpec, Supervisor, SupervisorConfig};
 

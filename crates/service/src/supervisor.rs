@@ -41,10 +41,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::archive::SnapshotArchive;
-use crate::client::HttpAnswer;
 use crate::http::HttpConfig;
 use crate::json::{obj, Json};
-use crate::pool::{ConnectionPool, PoolConfig};
+use crate::pool::{ConnectionPool, HttpAnswer, PoolConfig};
 use crate::server::{serve_with, ServiceConfig, ServiceHost};
 use crate::shard::{rendezvous, ShardMap};
 use crate::spec::ApiError;

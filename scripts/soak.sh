@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
 # Flake soak for the service suites: runs each of the pool_props, chaos,
-# fleet_chaos and http_smoke test binaries N times, COPIES at once, and
+# fleet_chaos and http_smoke test binaries N times, 3 copies at once, and
 # prints the failure rate per suite. Exits 1 if any run failed; the log of
 # every failed run is kept under target/soak/.
 #
-#   scripts/soak.sh [N]            # N runs per suite, default 45
-#   COPIES=3 scripts/soak.sh 200   # copies running at once, default 3
+#   scripts/soak.sh [N]   # N runs per suite, default 45
 #
 # The binaries are built once, in release with the lockdep tracker on
 # (the configuration CI's chaos smoke steps use).
 set -euo pipefail
 
 runs=${1:-45}
-copies=${COPIES:-3}
+copies=3
 suites=(pool_props chaos fleet_chaos http_smoke)
 
 cd "$(dirname "$0")/.."
