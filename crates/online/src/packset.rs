@@ -36,8 +36,8 @@ pub type PackId = usize;
 /// How the admission layer treats a growing backlog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PackStaging {
-    /// Legacy single-pack behavior: one flat FIFO admission queue, never
-    /// staged. Byte-identical to the PR 3 `run_online` engine.
+    /// Single-pack behavior: one flat FIFO admission queue, never
+    /// staged. Byte-identical to the original one-shot online engine.
     #[default]
     FlatFifo,
     /// Stage the waiting set into consecutive packs whenever an arrival
