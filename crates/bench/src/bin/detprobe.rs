@@ -125,12 +125,12 @@ fn main() {
         }
     }
 
-    // Greedy determinism grid (PR 5): the full greedy combination
+    // Greedy determinism grid: the full greedy combination
     // (IteratedGreedy × EndGreedy) and the opt-in approximate WarmGreedy
-    // variant across both arrival processes, so Algorithm 5's warm-start
-    // dispatch (certificate, fallback and resumed loop) is pinned
-    // byte-for-byte like STF/EndLocal already are. Appended after the
-    // PR 4 blocks: every older line keeps its exact position and bytes.
+    // variant across both arrival processes, so the exact Algorithm 5
+    // rebuild and WarmGreedy's resumed loop are pinned byte-for-byte like
+    // STF/EndLocal already are. Appended after the multi-pack blocks:
+    // every older line keeps its exact position and bytes.
     for seed in [3u64, 21, 77] {
         for (sname, strategy) in [
             ("IG-EG+arr", OnlineStrategy::resizing(Heuristic::IteratedGreedyEndGreedy)),

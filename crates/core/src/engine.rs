@@ -29,6 +29,73 @@ use crate::optimal::optimal_schedule;
 use crate::policies::{EndPolicy, FaultPolicy};
 use crate::state::PackState;
 
+/// What a processor fault did to the pack ([`strike_fault`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FaultStrike {
+    /// The fault hit an idle processor or a task inside a protected
+    /// downtime/recovery/redistribution window, and is discarded (§6.1).
+    /// `fatal_risk` flags a discard inside a post-fault recovery window.
+    Discarded {
+        /// The struck task was still recovering from an earlier fault.
+        fatal_risk: bool,
+    },
+    /// Task `task` rolled back to its last checkpoint; its downtime plus
+    /// recovery ends at `anchor`.
+    Handled {
+        /// The struck task.
+        task: TaskId,
+        /// End of the recovery window (the task's new `tlastR`).
+        anchor: f64,
+    },
+}
+
+/// Applies a fault on processor `proc` at time `t` (Algorithm 2 lines
+/// 20–27), the fault step shared by the static and the online engine: a
+/// fault on an idle processor or inside a protected window is discarded;
+/// otherwise the struck task rolls back to its last checkpoint, pays
+/// downtime plus recovery, and its recovery window is recorded in
+/// `recovery_until`. Either way the trace records the outcome.
+///
+/// Tasks finishing inside the recovery window are the caller's business:
+/// the static engine completes them at once, the online engine as ordinary
+/// end events later.
+pub fn strike_fault(
+    calc: &TimeCalc,
+    state: &mut PackState,
+    recovery_until: &mut [f64],
+    trace: &mut TraceLog,
+    t: f64,
+    proc: u32,
+) -> FaultStrike {
+    let Some(f) = state.owner(proc) else {
+        // Idle processor: nothing to lose.
+        trace.push(TraceEvent::FaultDiscarded { time: t, proc });
+        return FaultStrike::Discarded { fatal_risk: false };
+    };
+    if t < state.runtime(f).t_last_r {
+        // Protected window: downtime/recovery/redistribution in progress
+        // (§6.1: failures cannot strike there).
+        trace.push(TraceEvent::FaultDiscarded { time: t, proc });
+        return FaultStrike::Discarded { fatal_risk: t < recovery_until[f] };
+    }
+    // Roll the faulty task back to its last checkpoint (Algorithm 2 lines
+    // 23–26).
+    let j = state.sigma(f);
+    let elapsed = t - state.runtime(f).t_last_r;
+    let retained = calc.progress_faulty(f, j, elapsed);
+    let anchor = t + calc.downtime() + calc.recovery_time(f, j);
+    {
+        let rt = state.runtime_mut(f);
+        rt.alpha = (rt.alpha - retained).max(0.0);
+        rt.t_last_r = anchor;
+    }
+    let remaining = calc.remaining(f, j, state.runtime(f).alpha);
+    state.set_t_u(f, anchor + remaining);
+    recovery_until[f] = anchor;
+    trace.push(TraceEvent::Fault { time: t, proc, task: f });
+    FaultStrike::Handled { task: f, anchor }
+}
+
 /// Fault-injection configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
@@ -211,42 +278,17 @@ pub fn run(
                 .next_fault()
                 .expect("stream is infinite");
             let t = fault.time;
-            let struck = state.owner(fault.proc);
-            let Some(f) = struck else {
-                // Idle processor: nothing to lose.
-                discarded_faults += 1;
-                trace.push(TraceEvent::FaultDiscarded { time: t, proc: fault.proc });
-                continue;
-            };
-            if t < state.runtime(f).t_last_r {
-                // Protected window: downtime/recovery/redistribution in
-                // progress (§6.1: failures cannot strike there).
-                discarded_faults += 1;
-                if t < recovery_until[f] {
-                    fatal_risk_events += 1;
+            let strike =
+                strike_fault(calc, &mut state, &mut recovery_until, &mut trace, t, fault.proc);
+            let (f, anchor) = match strike {
+                FaultStrike::Discarded { fatal_risk } => {
+                    discarded_faults += 1;
+                    fatal_risk_events += u64::from(fatal_risk);
+                    continue;
                 }
-                trace.push(TraceEvent::FaultDiscarded { time: t, proc: fault.proc });
-                continue;
-            }
-
+                FaultStrike::Handled { task, anchor } => (task, anchor),
+            };
             handled_faults += 1;
-            // Roll the faulty task back to its last checkpoint (Algorithm 2
-            // lines 23–26).
-            let j = state.sigma(f);
-            let elapsed = t - state.runtime(f).t_last_r;
-            let retained = calc.progress_faulty(f, j, elapsed);
-            let d = calc.downtime();
-            let r = calc.recovery_time(f, j);
-            let anchor = t + d + r;
-            {
-                let rt = state.runtime_mut(f);
-                rt.alpha = (rt.alpha - retained).max(0.0);
-                rt.t_last_r = anchor;
-            }
-            let remaining = calc.remaining(f, j, state.runtime(f).alpha);
-            state.set_t_u(f, anchor + remaining);
-            recovery_until[f] = anchor;
-            trace.push(TraceEvent::Fault { time: t, proc: fault.proc, task: f });
 
             // Tasks that finish during the recovery window complete now and
             // release their processors (Algorithm 2 line 28). The faulty

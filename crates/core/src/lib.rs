@@ -33,12 +33,10 @@ pub mod policies;
 pub mod state;
 
 pub use ctx::{EligibleSet, HeuristicCtx, Plan, PlanEntry, PolicyScratch};
-pub use engine::{run, EngineConfig, FaultConfig, RunOutcome};
+pub use engine::{run, strike_fault, EngineConfig, FaultConfig, FaultStrike, RunOutcome};
 pub use error::ScheduleError;
 pub use heap::{LazyMaxHeap, LazyMinHeap};
-pub use incremental::{
-    greedy_floor, greedy_floor_key, GreedyWarmStats, IncrementalState, SessionOverlay,
-};
+pub use incremental::{IncrementalState, SessionOverlay};
 pub use optimal::optimal_schedule;
 pub use policies::{
     greedy_rebuild, greedy_rebuild_warm, EndGreedy, EndGreedyWarm, EndLocal, EndPolicy,

@@ -10,95 +10,24 @@
 //! faulty task, downtime and recovery (§3.3.2 text; the literal pseudocode
 //! omits the latter, see `pseudocode_fault_bias`).
 //!
-//! # Warm-start: resuming Algorithm 5 from the committed allocation
-//!
-//! The two-processor reset makes the from-scratch rebuild
-//! `Θ(Σσ_i)`: every participant pays an `α^t` evaluation plus the
-//! candidate evaluations of its walk from 2 back to (at least) its
-//! committed allocation. Successive events perturb only a few tasks, so
-//! the *warm* path resumes the improvement loop directly from the
-//! committed allocation — which is exactly the previous rebuild's output —
-//! with heads pulled lazily off the pack state's persistent latest-finish
-//! queue and adopted into a PR 3 session overlay. Tasks never adopted pay
-//! nothing: no planning entry, no `α^t`, no candidate evaluation.
-//!
-//! Equivalence is *certified*, not assumed. Write `v_i(σ)` for the planned
-//! finish time of participant `i` at a planned allocation `σ` (the value
-//! Algorithm 5 tracks), `T_max` for the largest committed finish time, and
-//! `t` for the decision time. The certificate demands, for every
-//! participant with `σ_init ≥ 4`,
-//!
-//! ```text
-//!     RC_FLOOR_SAFETY · m_i / σ_init_i  >  T_max − t          (cert)
-//! ```
-//!
-//! — the PR 3 *shrink floor*: any allocation below `σ_init` costs at least
-//! `m_i/σ_init_i` in redistribution alone, so (cert) proves every walk
-//! value `v_i(σ < σ_init) ≥ t + RC > T_max`. That closes an induction over
-//! the reset loop: while any task is planned below its committed
-//! allocation, all such tasks outrank (strictly) every task already at or
-//! above its committed allocation, so the head is always a below-task; its
-//! scan always finds an improving candidate, because the *free* candidate
-//! `σ_init` (worth its committed `t^U ≤ T_max`, strictly below the head's
-//! value) is always within reach of the pool; and each grant keeps the
-//! invariant. The loop therefore walks every participant back to exactly
-//! `σ_init` — consuming exactly the virtually-released processors, never
-//! stopping early, never granting past a committed allocation — before the
-//! first real decision happens. From that state on, the loop only *grows*
-//! tasks, and the warm path replays it verbatim. When (cert) fails —
-//! early in a pack's life, or when an arrival rebalance may need to shrink
-//! past-sweet-spot tasks — the policy falls back to the two-processor
-//! reset unchanged.
-//!
-//! The binding constraint of (cert) is the queue minimum of a persistent
-//! floor queue in the pack state ([`PackState::set_greedy_floor`]): keys
-//! change only when a task's allocation changes (every committed plan
-//! refreshes its key, completions drop theirs), queries revalidate lazily
-//! (`LazyHeapCore::peek_valid`), so the certificate costs `O(changed ·
-//! log n)` amortized rather than a per-event scan. As with the PR 3
-//! policies, debug builds replay every warm-started decision from scratch
-//! on a cloned pack state and compare the outcomes bit for bit.
-//!
-//! [`PackState::set_greedy_floor`]: crate::state::PackState::set_greedy_floor
+//! There is one exact implementation, [`greedy_rebuild`], for both the
+//! listed and the live eligible views. The opt-in approximate
+//! [`greedy_rebuild_warm`] resumes from the committed allocation instead of
+//! resetting; see README "Why exact greedy has no warm start".
 
 use redistrib_model::TaskId;
 
 use crate::ctx::{EligibleSet, HeuristicCtx, PlanEntry};
-use crate::incremental::{
-    greedy_floor_key, pick_session_entry, IncrementalState, RC_FLOOR_SAFETY,
-};
+use crate::incremental::{pick_session_entry, IncrementalState, RC_FLOOR_SAFETY};
 
 use super::{EndPolicy, FaultPolicy};
 
 /// Rebuilds the schedule greedily over the eligible tasks (plus the faulty
-/// task, if any). Shared implementation of [`IteratedGreedy`] and
-/// [`EndGreedy`]: live eligible views take the warm-start path when the
-/// certificate holds (falling back to the reset otherwise); explicit lists
-/// always take the from-scratch reference path.
+/// task, if any) — the shared implementation of [`IteratedGreedy`] and
+/// [`EndGreedy`]: every participant is virtually reset to two processors,
+/// then pairs flow to the longest planned finish time while it strictly
+/// improves (Algorithm 5).
 pub fn greedy_rebuild(ctx: &mut HeuristicCtx<'_>, faulty: Option<TaskId>) {
-    match ctx.eligible {
-        EligibleSet::Listed(_) => reference_greedy_rebuild(ctx, faulty),
-        EligibleSet::Live { .. } => {
-            if warm_start_certified(ctx) {
-                ctx.scratch.greedy_stats.warm += 1;
-                #[cfg(debug_assertions)]
-                let check = crate::incremental::CrossCheck::begin(ctx);
-                warm_greedy_rebuild(ctx, faulty);
-                #[cfg(debug_assertions)]
-                check.verify(ctx, |ref_ctx| reference_greedy_rebuild(ref_ctx, faulty));
-            } else {
-                ctx.scratch.greedy_stats.fallback += 1;
-                reference_greedy_rebuild(ctx, faulty);
-            }
-        }
-    }
-}
-
-/// From-scratch greedy rebuild (the reference semantics and the fallback
-/// when the warm-start certificate fails): every participant is virtually
-/// reset to two processors, then pairs flow to the longest planned finish
-/// time while it strictly improves (Algorithm 5).
-pub fn reference_greedy_rebuild(ctx: &mut HeuristicCtx<'_>, faulty: Option<TaskId>) {
     let mut entries = std::mem::take(&mut ctx.scratch.entries);
     entries.clear();
     ctx.for_each_eligible(|i| {
@@ -218,57 +147,6 @@ pub fn reference_greedy_rebuild(ctx: &mut HeuristicCtx<'_>, faulty: Option<TaskI
     ctx.commit_entries();
 }
 
-/// The warm-start certificate (see the module docs): every started active
-/// task holding `σ ≥ 4` must have a shrink floor `RC_FLOOR_SAFETY · m/σ`
-/// strictly above the pack's remaining horizon `T_max − now`. Checked
-/// against a superset of the participants (windowed tasks included), so a
-/// passing certificate is conservative.
-///
-/// The binding constraint comes off the pack state's persistent floor
-/// queue, initialized here on first use and revalidated lazily — stale
-/// entries (completed tasks) are repaired at one heap operation each, and
-/// debug builds assert the queue is *exact* against a full scan, so a
-/// missed [`crate::state::PackState::set_greedy_floor`] hook cannot hide.
-fn warm_start_certified(ctx: &mut HeuristicCtx<'_>) -> bool {
-    let Some((_, t_max)) = ctx.state.longest_active() else {
-        // No started active task: both paths commit nothing.
-        return true;
-    };
-    let was_ready = ctx.state.greedy_floors_ready();
-    let mut floors = ctx.state.take_greedy_floors();
-    let state = &*ctx.state;
-    let calc = ctx.calc;
-    let live_floor = |i: TaskId| {
-        let rt = state.runtime(i);
-        if rt.done || !state.is_started(i) {
-            return None;
-        }
-        greedy_floor_key(calc.task_size(i), state.sigma(i))
-    };
-    if !was_ready {
-        for i in 0..state.num_tasks() {
-            if let Some(v) = live_floor(i) {
-                floors.update(i, v);
-            }
-        }
-    }
-    #[cfg(debug_assertions)]
-    for i in 0..state.num_tasks() {
-        if let Some(v) = live_floor(i) {
-            assert!(
-                floors.value(i).to_bits() == v.to_bits(),
-                "stale greedy floor for task {i}: an allocation change bypassed set_greedy_floor"
-            );
-        }
-    }
-    let binding = floors.peek_valid(live_floor);
-    ctx.state.put_greedy_floors(floors);
-    match binding {
-        None => true,
-        Some((_, floor_min)) => floor_min > t_max - ctx.now,
-    }
-}
-
 /// Which session entry is the current head of the warm improvement loop.
 enum WarmHead {
     /// An overlay slot (an adopted eligible task).
@@ -278,10 +156,10 @@ enum WarmHead {
 }
 
 /// Warm-started greedy rebuild: resumes the Algorithm 5 improvement loop
-/// from the committed allocation (valid under [`warm_start_certified`]),
-/// with heads pulled lazily off the persistent latest-finish queue and
-/// adopted into the session overlay — per-event work scales with the tasks
-/// the loop actually touches, not the pack.
+/// from the committed allocation, with heads pulled lazily off the
+/// persistent latest-finish queue and adopted into the session overlay —
+/// per-event work scales with the tasks the loop actually touches, not the
+/// pack.
 fn warm_greedy_rebuild(ctx: &mut HeuristicCtx<'_>, faulty: Option<TaskId>) {
     let now = ctx.now;
     let EligibleSet::Live { skip, min_t_u } = ctx.eligible else {
@@ -417,28 +295,25 @@ fn warm_greedy_rebuild(ctx: &mut HeuristicCtx<'_>, faulty: Option<TaskId>) {
 }
 
 /// Opt-in *approximate* greedy rebuild: resumes from the committed
-/// allocation unconditionally — no certificate, no reset fallback — so
-/// every decision costs `O(touched · log n)` whatever the pack's phase.
+/// allocation unconditionally — no two-processor reset — so every
+/// decision costs `O(touched · log n)` whatever the pack's phase.
 ///
-/// The ROADMAP's explicitly-approximate alternative to the certified warm
-/// start: the resumed loop only *grows* tasks (free processors flow to the
+/// The explicitly-approximate alternative to the exact rebuild: the
+/// resumed loop only *grows* tasks (free processors flow to the
 /// longest planned finish times, redistribution costs included), so unlike
 /// Algorithm 5 it cannot shrink a task below its committed allocation —
 /// at a fault with an empty free pool it does nothing where the exact
 /// rebuild would steal from the shortest tasks. Never selected by the
 /// default heuristics; reach it through [`Heuristic::WarmGreedy`] (see
 /// `experiments warm` for the measured quality gap). Explicit eligible
-/// lists run the exact reference instead, so a `reference_policies`
+/// lists run the exact [`greedy_rebuild`] instead, so a `reference_policies`
 /// configuration is the exact counterpart on identical seeds.
 ///
 /// [`Heuristic::WarmGreedy`]: crate::policies::Heuristic::WarmGreedy
 pub fn greedy_rebuild_warm(ctx: &mut HeuristicCtx<'_>, faulty: Option<TaskId>) {
     match ctx.eligible {
-        EligibleSet::Listed(_) => reference_greedy_rebuild(ctx, faulty),
-        EligibleSet::Live { .. } => {
-            ctx.scratch.greedy_stats.warm += 1;
-            warm_greedy_rebuild(ctx, faulty);
-        }
+        EligibleSet::Listed(_) => greedy_rebuild(ctx, faulty),
+        EligibleSet::Live { .. } => warm_greedy_rebuild(ctx, faulty),
     }
 }
 
@@ -537,15 +412,14 @@ mod tests {
         count
     }
 
-    /// Runs the live-view path (warm start + built-in debug cross-check, or
-    /// the certified fallback), returning the redistribution count and the
-    /// warm/fallback counters.
+    /// [`run_greedy`] over the live eligible view instead of an explicit
+    /// list.
     fn run_greedy_live(
         calc: &TimeCalc,
         state: &mut PackState,
         now: f64,
         faulty: Option<TaskId>,
-    ) -> (u64, crate::incremental::GreedyWarmStats) {
+    ) -> u64 {
         let mut trace = TraceLog::disabled();
         let mut count = 0;
         let mut scratch = PolicyScratch::default();
@@ -564,7 +438,7 @@ mod tests {
             redistributions: &mut count,
         };
         greedy_rebuild(&mut ctx, faulty);
-        (count, scratch.greedy_stats)
+        count
     }
 
     #[test]
@@ -674,8 +548,7 @@ mod tests {
     }
 
     /// A pack late in its life: every task holds its committed allocation
-    /// with only a fraction `alpha` of work left, so the remaining horizon
-    /// sits below every shrink floor and the warm-start certificate holds.
+    /// with only a fraction `alpha` of work left.
     fn drained_fixture(
         sizes: &[f64],
         sigmas: &[u32],
@@ -696,129 +569,46 @@ mod tests {
         (calc, state)
     }
 
-    #[test]
-    fn warm_start_matches_reference_in_drained_pack() {
-        // Remaining horizon below every shrink floor: the certificate
-        // holds, the live path warm-starts, and the outcome is
-        // bit-identical to the reference (the warm path additionally
-        // replays its own debug cross-check internally).
-        for p in [12u32, 16, 24] {
-            let (calc, mut a) = drained_fixture(&[2.2e6, 1.6e6], &[4, 4], p, 0.004);
-            let (_, mut b) = drained_fixture(&[2.2e6, 1.6e6], &[4, 4], p, 0.004);
-            let ca = run_greedy(&calc, &mut a, 0.0, None);
-            let (cb, stats) = run_greedy_live(&calc, &mut b, 0.0, None);
-            assert_eq!(ca, cb, "p={p}");
-            assert!(a.assignment_eq(&b), "p={p}");
-            assert_eq!(stats.warm, 1, "certificate must hold in a drained pack (p={p})");
-            assert_eq!(stats.fallback, 0);
+    /// Task 0 of a drained three-task pack just after a fault: rolled back
+    /// one period, anchored past downtime plus recovery.
+    fn rolled_back_fixture() -> (TimeCalc, PackState, f64) {
+        let (calc, mut state) = drained_fixture(&[2.0e6, 2.0e6, 1.8e6], &[4, 4, 4], 16, 0.01);
+        let t = 100.0;
+        let j = state.sigma(0);
+        let anchor = t + calc.platform().downtime + calc.recovery_time(0, j);
+        {
+            let rt = state.runtime_mut(0);
+            rt.alpha = 0.02;
+            rt.t_last_r = anchor;
         }
+        let rem = calc.remaining(0, j, 0.02);
+        state.set_t_u(0, anchor + rem);
+        (calc, state, t)
     }
 
     #[test]
-    fn early_pack_falls_back_to_reset() {
-        // At t = 0 every task still has its whole execution ahead: the
-        // remaining horizon exceeds the shrink floors, the certificate
-        // fails, and the live path runs the two-processor reset — with the
-        // same outcome as the reference.
-        let (calc, mut a) = fixture(&[2.4e6, 1.5e6], &[2, 10], 12);
-        let (_, mut b) = fixture(&[2.4e6, 1.5e6], &[2, 10], 12);
-        let ca = run_greedy(&calc, &mut a, 0.0, None);
-        let (cb, stats) = run_greedy_live(&calc, &mut b, 0.0, None);
-        assert_eq!(ca, cb);
-        assert!(a.assignment_eq(&b));
-        assert_eq!(stats.fallback, 1, "reset must be exercised early in the pack");
-        assert_eq!(stats.warm, 0);
-        // The fallback must still be able to shed the over-provisioned
-        // task — the decision the certificate exists to protect.
-        assert!(b.sigma(1) < 10, "fallback must shed the over-provisioned task");
-    }
-
-    #[test]
-    fn fault_path_always_falls_back() {
-        // After a rollback the faulty task's horizon includes downtime plus
-        // recovery, and its recovery time equals its checkpoint cost
-        // `m_f/σ_f` — at or above the smallest shrink floor by
-        // construction. The certificate therefore cannot hold on the fault
-        // path; the live decision must take the (exact) reset and match
-        // the reference bit for bit.
-        let build = || {
-            let (calc, mut state) =
-                drained_fixture(&[2.0e6, 2.0e6, 1.8e6], &[4, 4, 4], 16, 0.01);
-            let t = 100.0;
-            let j = state.sigma(0);
-            let anchor = t + calc.platform().downtime + calc.recovery_time(0, j);
-            {
-                let rt = state.runtime_mut(0);
-                rt.alpha = 0.02; // rolled back one period
-                rt.t_last_r = anchor;
-            }
-            let rem = calc.remaining(0, j, 0.02);
-            state.set_t_u(0, anchor + rem);
-            (calc, state, t)
-        };
-        let (calc, mut a, t) = build();
-        let (_, mut b, _) = build();
-        let eligible: Vec<usize> = a.active_tasks().filter(|&i| i != 0).collect();
-        let mut trace = TraceLog::disabled();
-        let mut count_a = 0;
-        let mut scratch = PolicyScratch::default();
-        let mut ctx = HeuristicCtx {
-            calc: &calc,
-            state: &mut a,
-            trace: &mut trace,
-            now: t,
-            eligible: EligibleSet::Listed(&eligible),
-            scratch: &mut scratch,
-            pseudocode_fault_bias: false,
-            redistributions: &mut count_a,
-        };
-        greedy_rebuild(&mut ctx, Some(0));
-        let (count_b, stats) = run_greedy_live(&calc, &mut b, t, Some(0));
-        assert_eq!(count_a, count_b);
-        assert!(a.assignment_eq(&b));
-        assert_eq!(stats.fallback, 1, "fault decisions must take the exact reset");
-        assert_eq!(stats.warm, 0);
-    }
-
-    #[test]
-    fn floor_queue_stays_exact_across_invocations() {
-        // A committed reallocation between two certified decisions must
-        // refresh the moved task's floor through set_greedy_floor — the
-        // second invocation's debug exactness scan fails otherwise.
-        let (calc, mut state) = drained_fixture(&[2.2e6, 1.6e6], &[4, 4], 16, 0.004);
-        let mut trace = TraceLog::disabled();
-        let mut count = 0;
-        let mut scratch = PolicyScratch::default();
-        let mut ctx = HeuristicCtx {
-            calc: &calc,
-            state: &mut state,
-            trace: &mut trace,
-            now: 0.0,
-            eligible: EligibleSet::live(),
-            scratch: &mut scratch,
-            pseudocode_fault_bias: false,
-            redistributions: &mut count,
-        };
-        greedy_rebuild(&mut ctx, None);
-        // Commit an allocation change through the hooked path (the floor
-        // queue is live now), then decide again.
-        let alpha_t = ctx.alpha_current(0);
-        ctx.commit(&[crate::ctx::Plan {
-            task: 0,
-            sigma_init: 4,
-            sigma_new: 6,
-            alpha_t,
-            faulty: false,
-        }]);
-        ctx.now = 1.0;
-        // The mover's anchor advanced by RC + C, so the horizon now exceeds
-        // the floors and the certificate correctly declines — what matters
-        // is that its debug exactness scan accepted the refreshed floor
-        // (a bypassed set_greedy_floor would have panicked here).
-        greedy_rebuild(&mut ctx, None);
-        assert_eq!(scratch.greedy_stats.warm, 1);
-        assert_eq!(scratch.greedy_stats.fallback, 1);
-        assert!(state.check_invariants());
+    fn live_view_matches_listed_view() {
+        // The live eligible view must select exactly the listed tasks, in
+        // the same order: late in a pack, early in a pack and on the fault
+        // path.
+        let mut cases = Vec::new();
+        for p in [12u32, 16, 24] {
+            let (calc, state) = drained_fixture(&[2.2e6, 1.6e6], &[4, 4], p, 0.004);
+            cases.push((format!("drained p={p}"), calc, state, 0.0, None));
+        }
+        let (calc, state) = fixture(&[2.4e6, 1.5e6], &[2, 10], 12);
+        cases.push(("early pack".into(), calc, state, 0.0, None));
+        let (calc, state, t) = rolled_back_fixture();
+        cases.push(("after rollback".into(), calc, state, t, Some(0)));
+        for (name, calc, state, now, faulty) in cases {
+            let mut listed = state.clone();
+            let mut live = state;
+            let c_listed = run_greedy(&calc, &mut listed, now, faulty);
+            let c_live = run_greedy_live(&calc, &mut live, now, faulty);
+            assert_eq!(c_listed, c_live, "{name}");
+            assert!(listed.assignment_eq(&live), "{name}");
+            assert!(live.check_invariants(), "{name}");
+        }
     }
 
     #[test]

@@ -179,7 +179,7 @@ impl Heuristic {
     /// rebalances (the online engine's third decision point) — the
     /// rebuild-flavor counterpart of [`Heuristic::end_policy`] /
     /// [`Heuristic::fault_policy`], so warm-family combinations cannot
-    /// silently fall back to the exact reset on one decision point only.
+    /// silently run the exact rebuild on one decision point only.
     #[must_use]
     pub fn arrival_rebuild(self) -> fn(&mut HeuristicCtx<'_>, Option<TaskId>) {
         match self {

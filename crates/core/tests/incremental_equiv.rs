@@ -89,14 +89,14 @@ proptest! {
         )?;
     }
 
-    /// Warm-start greedy ≡ reference greedy under fault/completion storms:
+    /// Live-view greedy ≡ reference greedy under fault/completion storms:
     /// a short MTBF interleaves rollbacks, recovery-window completions and
-    /// greedy rebuilds densely, so the drain-phase warm starts, the reset
-    /// fallbacks and the persistent floor queue's maintenance are all
-    /// exercised within one run — end-to-end trace equality on top of the
-    /// per-decision debug cross-checks.
+    /// greedy rebuilds densely, so the rebuilds' live eligible views (with
+    /// the faulty task skipped, inside and outside redistribution windows)
+    /// must select exactly the reference lists — end-to-end trace equality
+    /// within one run.
     #[test]
-    fn warm_start_greedy_equals_reference_in_storms(
+    fn live_view_greedy_equals_reference_in_storms(
         seed in any::<u64>(),
         n in 2..8usize,
         extra_pairs in 0..8u32,

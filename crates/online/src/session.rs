@@ -20,7 +20,8 @@ use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use redistrib_core::{
-    EligibleSet, EndPolicy, FaultPolicy, HeuristicCtx, PackState, PolicyScratch, ScheduleError,
+    strike_fault, EligibleSet, EndPolicy, FaultPolicy, FaultStrike, HeuristicCtx, PackState,
+    PolicyScratch, ScheduleError,
 };
 use redistrib_model::{JobSpec, Platform, SpeedupModel, TaskId, TimeCalc, Workload};
 use redistrib_sim::faults::FaultSource;
@@ -861,13 +862,6 @@ impl Session {
     fn start_job(&mut self, i: TaskId, t: f64, waiting: usize) {
         let grant = self.admission_grant(i, waiting);
         self.state.grow(i, grant);
-        if self.state.greedy_floors_ready() {
-            // The admission grant changes an allocation outside the policy
-            // commit path: refresh the greedy warm-start floor queue (the
-            // certificate's exactness contract, see `core::policies::greedy`).
-            let floor = redistrib_core::greedy_floor_key(self.calc.task_size(i), grant);
-            self.state.set_greedy_floor(i, floor);
-        }
         let remaining = self.calc.remaining(i, grant, 1.0);
         let rt = self.state.runtime_mut(i);
         rt.alpha = 1.0;
@@ -915,8 +909,8 @@ impl Session {
         };
         match call {
             // The arrival rebalance follows the strategy's greedy flavor
-            // (exact certified dispatch, or the approximate warm resume),
-            // selected by the heuristic exactly like end/fault policies.
+            // (the exact rebuild, or the approximate warm resume), selected
+            // by the heuristic exactly like end/fault policies.
             PolicyCall::Rebuild => (self.strategy.heuristic.arrival_rebuild())(&mut ctx, None),
             PolicyCall::End => self.end_policy.on_task_end(&mut ctx),
             PolicyCall::Fault(f) => self.fault_policy.on_fault(&mut ctx, f),
@@ -1088,39 +1082,23 @@ impl Session {
 
     fn handle_fault(&mut self, proc: u32, t: f64) {
         self.advance(t);
-        let Some(f) = self.state.owner(proc) else {
-            self.discarded_faults += 1;
-            self.trace.push(TraceEvent::FaultDiscarded { time: t, proc });
-            return;
-        };
-        if t < self.state.runtime(f).t_last_r {
-            // Protected downtime/recovery/redistribution window.
-            self.discarded_faults += 1;
-            if t < self.recovery_until[f] {
-                self.fatal_risk_events += 1;
+        let strike = strike_fault(
+            &self.calc,
+            &mut self.state,
+            &mut self.recovery_until,
+            &mut self.trace,
+            t,
+            proc,
+        );
+        let (f, anchor) = match strike {
+            FaultStrike::Discarded { fatal_risk } => {
+                self.discarded_faults += 1;
+                self.fatal_risk_events += u64::from(fatal_risk);
+                return;
             }
-            self.trace.push(TraceEvent::FaultDiscarded { time: t, proc });
-            return;
-        }
-
+            FaultStrike::Handled { task, anchor } => (task, anchor),
+        };
         self.handled_faults += 1;
-        // Roll back to the last checkpoint; pay downtime + recovery
-        // (Algorithm 2 lines 23–26, unchanged from the static engine).
-        let j = self.state.sigma(f);
-        let elapsed = t - self.state.runtime(f).t_last_r;
-        let retained = self.calc.progress_faulty(f, j, elapsed);
-        let d = self.calc.downtime();
-        let r = self.calc.recovery_time(f, j);
-        let anchor = t + d + r;
-        {
-            let rt = self.state.runtime_mut(f);
-            rt.alpha = (rt.alpha - retained).max(0.0);
-            rt.t_last_r = anchor;
-        }
-        let remaining = self.calc.remaining(f, j, self.state.runtime(f).alpha);
-        self.state.set_t_u(f, anchor + remaining);
-        self.recovery_until[f] = anchor;
-        self.trace.push(TraceEvent::Fault { time: t, proc, task: f });
 
         // Unlike the static engine, jobs finishing inside the recovery
         // window are NOT completed here: eager completion would release

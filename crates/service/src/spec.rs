@@ -568,8 +568,6 @@ fn state_to_json(s: &PackStateSnapshot) -> Json {
         ("sigma_hi", Json::Int(i128::from(s.sigma_hi))),
         ("ends", f64s_to_json(&s.ends)),
         ("tails", f64s_to_json(&s.tails)),
-        ("floors", f64s_to_json(&s.floors)),
-        ("floors_ready", Json::Bool(s.floors_ready)),
     ])
 }
 
@@ -607,8 +605,6 @@ fn state_from_json(v: &Json) -> Result<PackStateSnapshot, ApiError> {
             .ok_or_else(|| ApiError::bad_request("'sigma_hi' must be an integer"))?,
         ends: f64s_from_json(field(v, "ends")?, "'ends'")?,
         tails: f64s_from_json(field(v, "tails")?, "'tails'")?,
-        floors: f64s_from_json(field(v, "floors")?, "'floors'")?,
-        floors_ready: boolean(field(v, "floors_ready")?, "'floors_ready'")?,
     })
 }
 
@@ -1087,5 +1083,47 @@ mod tests {
         let b = session.run_to_completion().unwrap();
         assert_eq!(a.trace.to_csv(), b.trace.to_csv());
         assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
+    }
+
+    #[test]
+    fn documents_with_greedy_floor_keys_still_restore() {
+        // Older documents carried the exact greedy rebuild's warm-start
+        // floor queue as two more `state` keys. They are ignored on
+        // restore, and the session continues exactly as uninterrupted.
+        let spec = SessionSpec::from_json(
+            &Json::parse(
+                r#"{"platform":{"procs":16,"mtbf":20000},
+                    "strategy":"IteratedGreedy-EndGreedy",
+                    "faults":{"seed":11},"record_trace":true,
+                    "jobs":[{"size":4000},{"size":6000},{"size":3000,"release":50},
+                            {"size":8000,"release":120},{"size":5000,"release":300}]}"#,
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let mut session = spec.scheduler().session(&spec.jobs).unwrap();
+        for _ in 0..6 {
+            session.step().unwrap();
+        }
+        assert!(!session.is_done(), "the snapshot must leave work to continue");
+        let mut doc = snapshot_to_json(&session.snapshot(), &spec.speedup);
+        let Json::Obj(top) = &mut doc else { panic!("snapshot documents are objects") };
+        let (_, state) = top.iter_mut().find(|(k, _)| k == "state").expect("state key");
+        let Json::Obj(state) = state else { panic!("'state' is an object") };
+        let n = session.num_jobs();
+        let floors: Vec<f64> =
+            (0..n).map(|i| if i % 2 == 0 { 1.5e3 } else { f64::NAN }).collect();
+        state.push(("floors".into(), f64s_to_json(&floors)));
+        state.push(("floors_ready".into(), Json::Bool(true)));
+
+        let (snap, speedup) = snapshot_from_json(&Json::parse(&doc.encode()).unwrap()).unwrap();
+        let resumed = redistrib_online::Session::resume(snap, speedup.build())
+            .unwrap()
+            .run_to_completion()
+            .unwrap();
+        let straight = session.run_to_completion().unwrap();
+        assert!(straight.handled_faults > 0, "the run must exercise the fault path");
+        assert_eq!(resumed.trace.to_csv(), straight.trace.to_csv());
+        assert_eq!(resumed.makespan.to_bits(), straight.makespan.to_bits());
     }
 }
