@@ -393,40 +393,27 @@ mod tests {
         now: f64,
         faulty: Option<TaskId>,
     ) -> u64 {
-        let mut trace = TraceLog::disabled();
-        let mut count = 0;
-        let eligible: Vec<usize> =
-            state.active_tasks().filter(|&i| Some(i) != faulty).collect();
-        let mut scratch = PolicyScratch::default();
-        let mut ctx = HeuristicCtx {
-            calc,
-            state,
-            trace: &mut trace,
-            now,
-            eligible: crate::ctx::EligibleSet::Listed(&eligible),
-            scratch: &mut scratch,
-            pseudocode_fault_bias: false,
-            redistributions: &mut count,
-        };
-        greedy_rebuild(&mut ctx, faulty);
-        count
+        run_greedy_view(calc, state, now, faulty, false)
     }
 
-    /// [`run_greedy`] over the live eligible view instead of an explicit
-    /// list.
-    fn run_greedy_live(
+    /// Runs the greedy rebuild over an explicit eligible list, or over the
+    /// live eligible view when `live` is set.
+    fn run_greedy_view(
         calc: &TimeCalc,
         state: &mut PackState,
         now: f64,
         faulty: Option<TaskId>,
+        live: bool,
     ) -> u64 {
         let mut trace = TraceLog::disabled();
         let mut count = 0;
-        let mut scratch = PolicyScratch::default();
-        let eligible = match faulty {
-            Some(f) => EligibleSet::live_fault(f, f64::NEG_INFINITY),
-            None => EligibleSet::live(),
+        let listed: Vec<usize> = state.active_tasks().filter(|&i| Some(i) != faulty).collect();
+        let eligible = match (live, faulty) {
+            (false, _) => EligibleSet::Listed(&listed),
+            (true, Some(f)) => EligibleSet::live_fault(f, f64::NEG_INFINITY),
+            (true, None) => EligibleSet::live(),
         };
+        let mut scratch = PolicyScratch::default();
         let mut ctx = HeuristicCtx {
             calc,
             state,
@@ -603,8 +590,8 @@ mod tests {
         for (name, calc, state, now, faulty) in cases {
             let mut listed = state.clone();
             let mut live = state;
-            let c_listed = run_greedy(&calc, &mut listed, now, faulty);
-            let c_live = run_greedy_live(&calc, &mut live, now, faulty);
+            let c_listed = run_greedy_view(&calc, &mut listed, now, faulty, false);
+            let c_live = run_greedy_view(&calc, &mut live, now, faulty, true);
             assert_eq!(c_listed, c_live, "{name}");
             assert!(listed.assignment_eq(&live), "{name}");
             assert!(live.check_invariants(), "{name}");
