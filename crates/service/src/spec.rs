@@ -1086,7 +1086,7 @@ mod tests {
     }
 
     #[test]
-    fn documents_with_greedy_floor_keys_still_restore() {
+    fn documents_with_floor_queue_keys_still_restore() {
         // Older documents carried the exact greedy rebuild's warm-start
         // floor queue as two more `state` keys. They are ignored on
         // restore, and the session continues exactly as uninterrupted.
