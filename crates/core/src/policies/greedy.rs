@@ -573,29 +573,53 @@ mod tests {
         (calc, state, t)
     }
 
+    /// Runs the greedy rebuild over the listed and the live eligible view
+    /// of the same state, asserts both select exactly the same tasks, and
+    /// returns the live-view state.
+    fn assert_live_matches_listed(
+        calc: &TimeCalc,
+        state: PackState,
+        now: f64,
+        faulty: Option<TaskId>,
+        name: &str,
+    ) -> PackState {
+        let mut listed = state.clone();
+        let mut live = state;
+        let c_listed = run_greedy_view(calc, &mut listed, now, faulty, false);
+        let c_live = run_greedy_view(calc, &mut live, now, faulty, true);
+        assert_eq!(c_listed, c_live, "{name}");
+        assert!(listed.assignment_eq(&live), "{name}");
+        assert!(live.check_invariants(), "{name}");
+        live
+    }
+
     #[test]
-    fn live_view_matches_listed_view() {
-        // The live eligible view must select exactly the listed tasks, in
-        // the same order: late in a pack, early in a pack and on the fault
-        // path.
-        let mut cases = Vec::new();
+    fn warm_start_matches_reference_in_drained_pack() {
+        // Late in a pack, with little work left, the live view must give
+        // the listed view's outcome bit for bit.
         for p in [12u32, 16, 24] {
             let (calc, state) = drained_fixture(&[2.2e6, 1.6e6], &[4, 4], p, 0.004);
-            cases.push((format!("drained p={p}"), calc, state, 0.0, None));
+            assert_live_matches_listed(&calc, state, 0.0, None, &format!("drained p={p}"));
         }
+    }
+
+    #[test]
+    fn early_pack_falls_back_to_reset() {
+        // At t = 0 every task has its whole execution ahead; the
+        // two-processor reset must still shed the over-provisioned task,
+        // identically over both views.
         let (calc, state) = fixture(&[2.4e6, 1.5e6], &[2, 10], 12);
-        cases.push(("early pack".into(), calc, state, 0.0, None));
+        let live = assert_live_matches_listed(&calc, state, 0.0, None, "early pack");
+        assert!(live.sigma(1) < 10, "reset must shed the over-provisioned task");
+    }
+
+    #[test]
+    fn fault_path_always_falls_back() {
+        // After a rollback the faulty task is excluded from the eligible
+        // set and prioritised; the live fault view must match the listed
+        // view bit for bit.
         let (calc, state, t) = rolled_back_fixture();
-        cases.push(("after rollback".into(), calc, state, t, Some(0)));
-        for (name, calc, state, now, faulty) in cases {
-            let mut listed = state.clone();
-            let mut live = state;
-            let c_listed = run_greedy_view(&calc, &mut listed, now, faulty, false);
-            let c_live = run_greedy_view(&calc, &mut live, now, faulty, true);
-            assert_eq!(c_listed, c_live, "{name}");
-            assert!(listed.assignment_eq(&live), "{name}");
-            assert!(live.check_invariants(), "{name}");
-        }
+        assert_live_matches_listed(&calc, state, t, Some(0), "after rollback");
     }
 
     #[test]
